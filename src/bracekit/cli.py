@@ -145,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("holomorph", "brute"), default="holomorph")
     p.add_argument("--out", default=None)
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("isoclinic", help="isoclinism witness for two brace files")
@@ -158,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("holomorph", "brute"), default="holomorph")
     p.add_argument("--theorems", default="")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     return parser

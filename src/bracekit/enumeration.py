@@ -18,7 +18,7 @@ from .braces import (
     canonical_pair,
     validate_skew_brace,
 )
-from .errors import OrderCapExceeded, ParseError
+from .errors import BraceKitError, OrderCapExceeded, ParseError
 from .groups import (
     GroupTable,
     _as_rows,
@@ -97,7 +97,7 @@ def _cyclic_extensions(N: GroupTable, p: int) -> Iterator[GroupTable]:
             ]
             try:
                 yield validate_group(table)
-            except Exception:
+            except BraceKitError:
                 continue
 
 
@@ -290,7 +290,7 @@ def _build_catalog(
     return BraceCatalog(order=order, entries=entries, method=method, cap=cap)
 
 
-_CATALOG_CACHE: dict[tuple[int, str], BraceCatalog] = {}
+_CATALOG_CACHE: dict[tuple[int, str, int], BraceCatalog] = {}
 
 
 def skew_braces_of_order(
@@ -300,7 +300,7 @@ def skew_braces_of_order(
     if method not in ("holomorph", "brute"):
         raise ValueError(f"unknown method {method!r}")
     _check_cap(n, cap)
-    key = (n, method)
+    key = (n, method, resolve_cap(cap))
     if key in _CATALOG_CACHE:
         return _CATALOG_CACHE[key]
     if method == "brute":

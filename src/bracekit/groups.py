@@ -8,7 +8,6 @@ to new index.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -141,12 +140,6 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupTable:
     for x in range(n):
         inv[x] = op[x].index(0)
     return GroupTable(n=n, op=op, inv=tuple(inv))
-
-
-def assert_associative(G: GroupTable) -> None:
-    """Re-assert associativity post-hoc (exhaustive)."""
-    arr = G.np_op
-    assert (arr[arr] == arr[:, arr]).all()
 
 
 def _check_index(x: int, n: int) -> None:
@@ -385,25 +378,89 @@ def relabel(G_op: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
 def canonical_form(G: GroupTable) -> tuple[GroupTable, Bijection]:
     """Lexicographically minimal relabeling of G fixing 0, with a witness map.
 
-    Brute force over relabelings; feasible for the supported order range and
-    deterministic, which is what catalog ids need.
+    The table is the row-major lexmin of relabel(G.np_op, sigma) over all
+    bijections sigma (old -> new) with sigma[0] = 0; the witness is the
+    lex-smallest sigma attaining it.
+
+    Depth-first branch-and-bound over relabelings.  Write p for the inverse
+    of sigma.  Row 0 and column 0 are fixed, and row 1 lists the labels of
+    p[1] * p[j] for j = 0..n-1, which visits every element, so row 1 alone
+    assigns every label.  Walking its cells in order:
+
+    - when label j has no preimage yet, branch over the unlabelled elements
+      for p[j] (at j = 1 this chooses p[1]);
+    - when the product is still unlabelled it takes the smallest free label,
+      since any other label makes this cell, and so the table, larger;
+    - a branch whose row-1 prefix exceeds the best one found is cut.
+
+    Complete candidates are compared on rows 2..n-1, row by row.  Labels are
+    handed out in increasing order, so after each cell the labels in use are
+    0..k-1.  Forcing and cutting only discard relabelings whose table is
+    strictly larger than another's, so the search meets every minimizer and
+    keeps the lex-smallest sigma among them: the same table and witness as a
+    scan over all (n-1)! relabelings.
+
+    Branching happens only where a right coset of <p[1]> starts: with
+    m = ord(p[1]), the i-th coset after <p[1]> has n - i*m candidates.  So
+    there are at most (n-1) * (n-2) * (n-4) * ... * 2 leaves for even n:
+    3,456 at order 10 (against 9! = 362,880 relabelings) and 42,240 at
+    order 12.
     """
     n = G.n
     if n == 1:
         return G, (0,)
-    op = G.np_op.astype(np.uint8)
-    best_bytes = None
-    best_sigma = None
-    sigma = np.zeros(n, dtype=np.uint8)
-    for per in itertools.permutations(range(1, n)):
-        sigma[1:] = per
-        m = relabel(op, sigma).tobytes()
-        if best_bytes is None or m < best_bytes:
-            best_bytes = m
-            best_sigma = tuple(int(v) for v in sigma)
-    arr = np.frombuffer(best_bytes, dtype=np.uint8).reshape(n, n)
-    table = _as_rows(arr.tolist())
-    return _trusted_group(table), best_sigma
+    op = G.op
+    label = [0] + [-1] * (n - 1)  # sigma, -1 while unlabelled
+    pre = [0] * n  # p on the labels handed out so far
+    row1 = [1] + [0] * (n - 1)
+    best: list[list[int]] = []
+    best_sigma: Bijection = ()
+
+    def leaf() -> None:
+        nonlocal best, best_sigma
+        rows = [list(range(n)), row1[:]]
+        tied = bool(best) and row1 == best[1]
+        for i in range(2, n):
+            r = op[pre[i]]
+            row = [label[r[pre[j]]] for j in range(n)]
+            if tied:
+                if row > best[i]:
+                    return
+                tied = row == best[i]
+            rows.append(row)
+        sigma = tuple(label)
+        if not tied:
+            best, best_sigma = rows, sigma
+        elif sigma < best_sigma:
+            best_sigma = sigma
+
+    def column(j: int, k: int) -> None:
+        # row-1 cells 0..j-1 are set and labels 0..k-1 have preimages
+        if j == n:
+            leaf()
+        elif j < k:
+            cell(j, k)
+        else:
+            for x in range(1, n):
+                if label[x] < 0:
+                    label[x], pre[j] = j, x
+                    cell(j, k + 1)
+                    label[x] = -1
+
+    def cell(j: int, k: int) -> None:
+        y = op[pre[1]][pre[j]]
+        fresh = label[y] < 0
+        if fresh:
+            label[y], pre[k] = k, y
+            k += 1
+        row1[j] = label[y]
+        if not best or row1[: j + 1] <= best[1][: j + 1]:
+            column(j + 1, k)
+        if fresh:
+            label[y] = -1
+
+    column(1, 1)
+    return _trusted_group(_as_rows(best)), best_sigma
 
 
 def group_commuting_probability(G: GroupTable) -> Fraction:

@@ -4,8 +4,10 @@ import hashlib
 
 import pytest
 
+from bracekit import enumeration
 from bracekit.braces import brace_isomorphisms, cyclic_brace, is_brace_isomorphic, opposite_brace, validate_skew_brace
 from bracekit.enumeration import (
+    _cyclic_extensions,
     all_group_tables,
     brute_force_oracle,
     catalog_from_jsonl,
@@ -132,6 +134,37 @@ def test_manifest_hash_matches_body():
         manifest["sha256"]
         == "ed2722f3ec3d733753aa92b6abc625c69141955df9cb98c1380b44d1fb7092d0"
     )
+
+
+def test_reach_to_order_12():
+    # published skew brace counts; orders 9 and 10 keep their catalog bytes
+    assert [len(groups_of_order(n, cap=12)) for n in range(9, 13)] == [2, 2, 1, 5]
+    catalogs = {n: skew_braces_of_order(n, cap=12) for n in range(9, 13)}
+    assert [len(catalogs[n].entries) for n in range(9, 13)] == [4, 6, 1, 38]
+    assert (
+        catalog_manifest(catalogs[9])["sha256"]
+        == "bb6d8d7ff546174bceb118addc8096408f2930e648c4ef3ce46cc74d5f04a3d0"
+    )
+    assert (
+        catalog_manifest(catalogs[10])["sha256"]
+        == "001586cf4bd3e5c204ee449abbd9c795081a5350ac42d1348cacc6dca414cdf8"
+    )
+
+
+def test_manifest_cap_does_not_depend_on_call_history(monkeypatch):
+    monkeypatch.delenv("BRACEKIT_CAP", raising=False)
+    assert catalog_manifest(skew_braces_of_order(4))["cap"] == 8
+    assert catalog_manifest(skew_braces_of_order(4, cap=12))["cap"] == 12
+    assert catalog_manifest(skew_braces_of_order(4))["cap"] == 8
+
+
+def test_extension_construction_errors_propagate(monkeypatch):
+    def broken(table):
+        raise RuntimeError("construction bug")
+
+    monkeypatch.setattr(enumeration, "validate_group", broken)
+    with pytest.raises(RuntimeError):
+        list(_cyclic_extensions(cyclic_group(2), 2))
 
 
 def test_not_two_sided_count_at_order_8():

@@ -1,5 +1,6 @@
 """Group table layer: validation, invariants, isomorphism, holomorphs."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bracekit.enumeration import groups_of_order
 from bracekit.errors import IdentityNotZero, NotAssociative, NotLatinSquare
 from bracekit.groups import (
     _as_rows,
+    _trusted_group,
     automorphism_group,
     canonical_form,
     center,
@@ -147,6 +150,44 @@ def test_canonical_form_relabeling_invariant_q8(tail):
     G = quaternion_group()
     H = validate_group(_as_rows(relabel(G.np_op, sigma).tolist()))
     assert canonical_form(G)[0].op == canonical_form(H)[0].op
+
+
+def _canonical_form_reference(G):
+    """The original (n-1)! relabeling scan, kept as the oracle for canonical_form."""
+    n = G.n
+    if n == 1:
+        return G, (0,)
+    op = G.np_op.astype(np.uint8)
+    best_bytes = None
+    best_sigma = None
+    sigma = np.zeros(n, dtype=np.uint8)
+    for per in itertools.permutations(range(1, n)):
+        sigma[1:] = per
+        m = relabel(op, sigma).tobytes()
+        if best_bytes is None or m < best_bytes:
+            best_bytes = m
+            best_sigma = tuple(int(v) for v in sigma)
+    arr = np.frombuffer(best_bytes, dtype=np.uint8).reshape(n, n)
+    table = _as_rows(arr.tolist())
+    return _trusted_group(table), best_sigma
+
+
+GROUPS_UP_TO_8 = [
+    (n, i) for n, count in enumerate([1, 1, 1, 2, 1, 2, 1, 5], start=1) for i in range(count)
+]
+
+
+@pytest.mark.parametrize("n,index", GROUPS_UP_TO_8)
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_canonical_form_matches_reference_scan(n, index, data):
+    G = groups_of_order(n)[index]
+    sigma = [0] + data.draw(st.permutations(list(range(1, n))))
+    H = validate_group(_as_rows(relabel(G.np_op, sigma).tolist()))
+    C, witness = canonical_form(H)
+    C_ref, witness_ref = _canonical_form_reference(H)
+    assert C.op == C_ref.op
+    assert witness == witness_ref
 
 
 def test_canonical_witness_recovers_canonical_table():
