@@ -15,20 +15,26 @@ from .errors import (
     IdentityMismatch,
     IndexOutOfRange,
     NotAnIdeal,
+    require,
 )
 from .groups import (
     Bijection,
     ElementSet,
     GroupTable,
-    _as_rows,
+    as_rows,
     automorphism_group,
     canonical_form,
     center,
+    closure,
+    is_conjugation_closed,
+    is_subgroup,
     isomorphisms,
+    prime_divisors,
+    quotient_group,
     relabel,
     subgroup_closure,
+    trusted_group,
     validate_group,
-    _trusted_group,
 )
 
 
@@ -77,7 +83,7 @@ class SkewBrace:
         }
 
 
-def _distributivity_ok(add: np.ndarray, neg: np.ndarray, mul: np.ndarray) -> bool:
+def distributivity_ok(add: np.ndarray, neg: np.ndarray, mul: np.ndarray) -> bool:
     lhs = mul[:, add]  # lhs[a,b,c] = a o (b + c)
     t1 = add[mul, neg[:, None]]  # (a o b) - a
     rhs = add[t1[:, :, None], mul[:, None, :]]
@@ -94,7 +100,7 @@ def validate_skew_brace(
     if add.n != mul.n:
         raise IdentityMismatch(f"orders differ: {add.n} vs {mul.n}")
     a_op, neg, m_op = add.np_op, add.np_inv, mul.np_op
-    if not _distributivity_ok(a_op, neg, m_op):
+    if not distributivity_ok(a_op, neg, m_op):
         for a in range(add.n):
             for b in range(add.n):
                 for c in range(add.n):
@@ -112,14 +118,12 @@ def _assert_lambda_laws(B: SkewBrace) -> None:
     homomorphic; a o b = a + lam_a(b).  These follow from the axioms, so a
     failure means a construction bug."""
     L, add, mul = B.lambdas, B.add.np_op, B.mul.np_op
-    # a o b = a + lam_a(b)
-    assert (mul == add[np.arange(B.n)[:, None], L]).all()
+    require((mul == add[np.arange(B.n)[:, None], L]).all(), "a o b != a + lam_a(b)")
     for a in range(B.n):
         la = L[a]
-        assert len(set(la.tolist())) == B.n and la[0] == 0
-        assert (la[add] == add[la[:, None], la[None, :]]).all()
-        # lam_{a o b} = lam_a . lam_b
-        assert (L[mul[a]] == la[L]).all()
+        require(len(set(la.tolist())) == B.n and la[0] == 0, "lam_a is not bijective or moves 0")
+        require((la[add] == add[la[:, None], la[None, :]]).all(), "lam_a is not additive")
+        require((L[mul[a]] == la[L]).all(), "lam_(a o b) != lam_a . lam_b")
 
 
 def star(B: SkewBrace, a: int, b: int) -> int:
@@ -162,7 +166,7 @@ def opposite_brace(G: GroupTable) -> SkewBrace:
 
 def cyclic_brace(n: int, d: int) -> SkewBrace:
     """Z_n with x o y = x + y + dxy; requires p | d | n for every prime p | n."""
-    if d <= 0 or n % d != 0 or any(d % p != 0 for p in _prime_divisors(n)):
+    if d <= 0 or n % d != 0 or any(d % p != 0 for p in prime_divisors(n)):
         raise BadCyclicParameter(d, n)
     add = [[(x + y) % n for y in range(n)] for x in range(n)]
     mul = [[(x + y + d * x * y) % n for y in range(n)] for x in range(n)]
@@ -181,20 +185,6 @@ def direct_product(B1: SkewBrace, B2: SkewBrace) -> SkewBrace:
         ]
 
     return validate_skew_brace(build(B1.add.op, B2.add.op), build(B1.mul.op, B2.mul.op))
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
 
 
 # -- structure flags ---------------------------------------------------------
@@ -226,7 +216,7 @@ def is_two_sided(B: SkewBrace) -> bool:
 
 
 def is_symmetric(B: SkewBrace) -> bool:
-    return _distributivity_ok(B.mul.np_op, B.mul.np_inv, B.add.np_op)
+    return distributivity_ok(B.mul.np_op, B.mul.np_inv, B.add.np_op)
 
 
 def is_lambda_homomorphic(B: SkewBrace) -> bool:
@@ -263,7 +253,7 @@ def socle_and_annihilator(B: SkewBrace) -> tuple[ElementSet, ElementSet, Element
     soc = tuple(a for a in ker if a in zadd)
     zmul = set(center(B.mul))
     ann = tuple(a for a in soc if a in zmul)
-    assert classify_subset(B, ann).is_ideal
+    require(classify_subset(B, ann).is_ideal, "Ann(B) is not an ideal")
     return ker, soc, ann
 
 
@@ -284,109 +274,26 @@ def classify_subset(B: SkewBrace, S: Iterable[int]) -> SubsetClass:
         return SubsetClass(False, False, False)
     for x in members:
         _check(B, x)
-    sub = (
-        0 in members
-        and all(
-            B.add.op[a][b] in members and B.mul.op[a][b] in members
-            for a in members
-            for b in members
-        )
-        and all(B.add.inv[a] in members and B.mul.inv[a] in members for a in members)
-    )
-    left_ideal = sub and all(
-        B.lambdas[a, x] in members for a in range(B.n) for x in members
-    )
+    sub = is_subgroup(B.add, members) and is_subgroup(B.mul, members)
+    left_ideal = sub and members.issuperset(B.lambdas[:, sorted(members)].ravel().tolist())
     ideal = (
         left_ideal
-        and all(
-            B.add.op[B.add.op[g][x]][B.add.inv[g]] in members
-            for g in range(B.n)
-            for x in members
-        )
-        and all(
-            B.mul.op[B.mul.op[g][x]][B.mul.inv[g]] in members
-            for g in range(B.n)
-            for x in members
-        )
+        and is_conjugation_closed(B.add, members)
+        and is_conjugation_closed(B.mul, members)
     )
     return SubsetClass(sub, left_ideal, ideal)
 
 
-def _worklist_closure(B: SkewBrace, S: Iterable[int], rules) -> ElementSet:
-    members = {0}
-    members.update(S)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = tuple(members)
-        for rule in rules:
-            for x in rule(snapshot):
-                if x not in members:
-                    members.add(x)
-                    changed = True
-    return tuple(sorted(members))
-
-
 def sub_brace_closure(B: SkewBrace, S: Iterable[int]) -> ElementSet:
     """Smallest sub-skew brace containing S (closure in both groups)."""
-    for x in S:
-        _check(B, x)
-
-    def both_groups(snapshot):
-        for a in snapshot:
-            yield B.add.inv[a]
-            yield B.mul.inv[a]
-            for b in snapshot:
-                yield B.add.op[a][b]
-                yield B.mul.op[a][b]
-
-    return _worklist_closure(B, S, [both_groups])
-
-
-def left_ideal_closure(B: SkewBrace, S: Iterable[int]) -> ElementSet:
-    for x in S:
-        _check(B, x)
-
-    def both_groups(snapshot):
-        for a in snapshot:
-            yield B.add.inv[a]
-            yield B.mul.inv[a]
-            for b in snapshot:
-                yield B.add.op[a][b]
-                yield B.mul.op[a][b]
-
-    def lam_images(snapshot):
-        for a in range(B.n):
-            for x in snapshot:
-                yield int(B.lambdas[a, x])
-
-    return _worklist_closure(B, S, [both_groups, lam_images])
+    return closure((B.add.op, B.mul.op), S)
 
 
 def ideal_closure(B: SkewBrace, S: Iterable[int]) -> ElementSet:
-    for x in S:
-        _check(B, x)
-
-    def both_groups(snapshot):
-        for a in snapshot:
-            yield B.add.inv[a]
-            yield B.mul.inv[a]
-            for b in snapshot:
-                yield B.add.op[a][b]
-                yield B.mul.op[a][b]
-
-    def lam_images(snapshot):
-        for a in range(B.n):
-            for x in snapshot:
-                yield int(B.lambdas[a, x])
-
-    def conjugates(snapshot):
-        for g in range(B.n):
-            for x in snapshot:
-                yield B.add.op[B.add.op[g][x]][B.add.inv[g]]
-                yield B.mul.op[B.mul.op[g][x]][B.mul.inv[g]]
-
-    return _worklist_closure(B, S, [both_groups, lam_images, conjugates])
+    """Smallest ideal containing S: a sub-skew brace closed under every lam_a
+    and under conjugation in both groups."""
+    actions = (B.lambdas.T.tolist(), B.add.conjugates, B.mul.conjugates)
+    return closure((B.add.op, B.mul.op), S, actions=actions)
 
 
 def quotient_brace(B: SkewBrace, I: Iterable[int]) -> tuple[SkewBrace, tuple[int, ...]]:
@@ -397,24 +304,9 @@ def quotient_brace(B: SkewBrace, I: Iterable[int]) -> tuple[SkewBrace, tuple[int
     members = set(I)
     if not classify_subset(B, members).is_ideal:
         raise NotAnIdeal(f"{sorted(members)} is not an ideal")
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for x in range(B.n):
-        if x in coset_of:
-            continue
-        add_coset = sorted(B.add.op[x][h] for h in members)
-        mul_coset = sorted(B.mul.op[x][h] for h in members)
-        assert add_coset == mul_coset
-        for y in add_coset:
-            coset_of[y] = len(reps)
-        reps.append(add_coset[0])
-    order = sorted(range(len(reps)), key=lambda i: reps[i])
-    new_idx = {old: new for new, old in enumerate(order)}
-    cmap = tuple(new_idx[coset_of[x]] for x in range(B.n))
-    reps = [reps[i] for i in order]
-    m = len(reps)
-    add_q = [[cmap[B.add.op[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
-    mul_q = [[cmap[B.mul.op[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
+    add_q, cmap = quotient_group(B.add, members)
+    mul_q, mul_cmap = quotient_group(B.mul, members)
+    require(cmap == mul_cmap, "additive and multiplicative cosets differ")
     return validate_skew_brace(add_q, mul_q), cmap
 
 
@@ -461,10 +353,10 @@ def series(B: SkewBrace, kind: str) -> list[ElementSet]:
             gens |= {int(B.star_table[u, a]) for a in range(B.n) for u in prev}
             gens |= {int(B.gamma_plus_table[a, u]) for a in range(B.n) for u in prev}
             nxt = subgroup_closure(B.add, gens)
-            assert set(nxt) <= set(prev)
+            require(set(nxt) <= set(prev), "gamma series is not descending")
             if nxt == prev or len(terms) > B.n:
                 break
-            assert classify_subset(B, nxt).is_ideal
+            require(classify_subset(B, nxt).is_ideal, "gamma term is not an ideal")
             terms.append(nxt)
         return terms
     if kind in ("star_left", "star_right"):
@@ -478,9 +370,9 @@ def series(B: SkewBrace, kind: str) -> list[ElementSet]:
             if nxt == prev or len(terms) > B.n:
                 break
             if kind == "star_left":
-                assert classify_subset(B, nxt).is_left_ideal
+                require(classify_subset(B, nxt).is_left_ideal, "star_left term not a left ideal")
             else:
-                assert classify_subset(B, nxt).is_ideal
+                require(classify_subset(B, nxt).is_ideal, "star_right term is not an ideal")
             terms.append(nxt)
         return terms
     raise ValueError(f"unknown series kind {kind!r}")
@@ -496,9 +388,9 @@ def nilpotency_class(B: SkewBrace) -> Optional[int]:
     gamma_vanishes = gamma_terms[-1] == (0,)
     if len(ann_terms[-1]) == B.n:
         cls = len(ann_terms)
-        assert gamma_vanishes and len(gamma_terms) == cls + 1
+        require(gamma_vanishes and len(gamma_terms) == cls + 1, "ann and gamma classes differ")
         return cls
-    assert not gamma_vanishes
+    require(not gamma_vanishes, "gamma chain vanishes but ann chain stops short of B")
     return None
 
 
@@ -556,7 +448,7 @@ def canonical_pair(B: SkewBrace) -> tuple[tuple[tuple[int, ...], ...], tuple[tup
         m = relabel(mul8, sigma).tobytes()
         if best is None or m < best:
             best = m
-    mul_rows = _as_rows(
+    mul_rows = as_rows(
         np.frombuffer(best, dtype=np.uint8).reshape(B.n, B.n).tolist()
     )
     return add_c.op, mul_rows
@@ -564,7 +456,7 @@ def canonical_pair(B: SkewBrace) -> tuple[tuple[tuple[int, ...], ...], tuple[tup
 
 def canonical_brace(B: SkewBrace) -> SkewBrace:
     add_rows, mul_rows = canonical_pair(B)
-    return SkewBrace(n=B.n, add=_trusted_group(add_rows), mul=_trusted_group(mul_rows))
+    return SkewBrace(n=B.n, add=trusted_group(add_rows), mul=trusted_group(mul_rows))
 
 
 def sub_braces(B: SkewBrace) -> list[ElementSet]:
@@ -577,7 +469,7 @@ def sub_braces(B: SkewBrace) -> list[ElementSet]:
             for g in range(1, B.n):
                 if g in S:
                     continue
-                T = sub_brace_closure(B, set(S) | {g})
+                T = sub_brace_closure(B, S + (g,))
                 if T not in found:
                     found.add(T)
                     new.append(T)

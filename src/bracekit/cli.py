@@ -7,14 +7,14 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .braces import validate_skew_brace
 from .enumeration import (
+    brace_from_json_dict,
     catalog_manifest,
     catalog_to_jsonl,
     resolve_cap,
     skew_braces_of_order,
 )
-from .errors import BraceKitError, OrderCapExceeded, ParseError
+from .errors import BraceKitError, InvariantViolation, ParseError
 from .isoclinism import are_isoclinic
 from .report import brace_report
 from .verify import THEOREMS, run_theorems
@@ -28,13 +28,9 @@ def _load_brace(path: str):
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(obj, dict) or "add" not in obj or "mul" not in obj:
-        raise ParseError(f"{path}: expected an object with 'add' and 'mul' tables")
-    if "n" in obj and obj["n"] != len(obj["add"]):
-        raise ParseError(f"{path}: declared order does not match table size")
-    return validate_skew_brace(obj["add"], obj["mul"])
+    return brace_from_json_dict(obj)
 
 
 def _render(obj):
@@ -110,7 +106,7 @@ def cmd_isoclinic(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    lo, hi = _parse_orders(args.orders)
+    lo, hi = _parse_orders(args.orders or f"1..{resolve_cap()}")
     names = [t.strip() for t in args.theorems.split(",") if t.strip()] if args.theorems else []
     unknown = [t for t in names if t not in THEOREMS]
     if unknown:
@@ -153,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_isoclinic)
 
     p = sub.add_parser("verify", help="run the theorem suites over catalogs")
-    p.add_argument("--orders", default=f"1..{resolve_cap()}")
+    p.add_argument("--orders", default=None)
     p.add_argument("--method", choices=("holomorph", "brute"), default="holomorph")
     p.add_argument("--theorems", default="")
     p.add_argument("--cap", type=int, default=None)
@@ -167,9 +163,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OrderCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except InvariantViolation as exc:
+        print(f"error: cross-check failed: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except BraceKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

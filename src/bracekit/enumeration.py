@@ -14,22 +14,23 @@ import numpy as np
 
 from .braces import (
     SkewBrace,
-    _distributivity_ok,
     canonical_pair,
+    distributivity_ok,
     validate_skew_brace,
 )
-from .errors import BraceKitError, OrderCapExceeded, ParseError
+from .errors import BraceKitError, OrderCapExceeded, ParseError, require
 from .groups import (
     GroupTable,
-    _as_rows,
-    _trusted_group,
+    as_rows,
     automorphism_group,
     canonical_form,
     conjugacy_class_sizes,
     cyclic_group,
     holomorph,
     is_isomorphic,
+    prime_divisors,
     regular_subgroups,
+    trusted_group,
     validate_group,
 )
 from .report import BraceReport, brace_report
@@ -44,30 +45,22 @@ def resolve_cap(cap: Optional[int] = None) -> int:
         return cap
     env = os.environ.get(CAP_ENV_VAR)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ParseError(f"{CAP_ENV_VAR}={env!r} is not an integer") from None
     return DEFAULT_CAP
 
 
 def _check_cap(n: int, cap: Optional[int]) -> None:
+    if n < 1:
+        raise ParseError(f"order must be positive, got {n}")
     limit = resolve_cap(cap)
     if n > limit:
         raise OrderCapExceeded(n, limit)
 
 
 # -- groups of a given order -------------------------------------------------
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    m, p = n, 2
-    while p * p <= m:
-        while m % p == 0:
-            out.append(p)
-            m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
 
 
 def _cyclic_extensions(N: GroupTable, p: int) -> Iterator[GroupTable]:
@@ -122,7 +115,7 @@ def groups_of_order(n: int, cap: Optional[int] = None) -> list[GroupTable]:
         out = [cyclic_group(1)]
     else:
         reps: dict[tuple, list[GroupTable]] = {}
-        for p in sorted(set(_prime_factors(n))):
+        for p in prime_divisors(n):
             for N in groups_of_order(n // p, cap=resolve_cap(cap)):
                 for G in _cyclic_extensions(N, p):
                     key = _fingerprint(G)
@@ -210,7 +203,7 @@ def all_group_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     def search(trail: list) -> Iterator[tuple[tuple[int, ...], ...]]:
         target = next(((i, j) for (i, j) in cells if op[i][j] == -1), None)
         if target is None:
-            rows = _as_rows(op)
+            rows = as_rows(op)
             arr = np.array(rows)
             if (arr[arr] == arr[:, arr]).all():
                 yield rows
@@ -251,7 +244,7 @@ class BraceCatalog:
 def _canonical_braces(raw_pairs: set) -> list[SkewBrace]:
     keys = {canonical_pair_from_rows(add, mul) for add, mul in raw_pairs}
     out = [
-        SkewBrace(n=len(add), add=_trusted_group(add), mul=_trusted_group(mul))
+        SkewBrace(n=len(add), add=trusted_group(add), mul=trusted_group(mul))
         for add, mul in sorted(keys)
     ]
     return out
@@ -259,7 +252,7 @@ def _canonical_braces(raw_pairs: set) -> list[SkewBrace]:
 
 def canonical_pair_from_rows(add_rows, mul_rows):
     B = SkewBrace(
-        n=len(add_rows), add=_trusted_group(add_rows), mul=_trusted_group(mul_rows)
+        n=len(add_rows), add=trusted_group(add_rows), mul=trusted_group(mul_rows)
     )
     return canonical_pair(B)
 
@@ -272,7 +265,7 @@ def skew_braces_on(A: GroupTable, cap: Optional[int] = None) -> list[SkewBrace]:
     raw = set()
     for R in regular_subgroups(hol):
         by_zero = {hol.perms[r][0]: r for r in R}
-        assert len(by_zero) == A.n
+        require(len(by_zero) == A.n, "regular subgroup does not act regularly")
         mul_rows = tuple(hol.perms[by_zero[a]] for a in range(A.n))
         brace = validate_skew_brace(A, validate_group(mul_rows))
         raw.add((brace.add.op, brace.mul.op))
@@ -339,13 +332,13 @@ def brute_force_oracle(n: int, cap: Optional[int] = None, side: str = "mul") -> 
                 finv = np.argsort(f)
                 if side == "mul":
                     pulled = finv[m_op[np.ix_(f, f)]]
-                    ok = _distributivity_ok(a_op, a_neg, pulled)
-                    pair = (A.op, _as_rows(pulled.tolist()))
+                    ok = distributivity_ok(a_op, a_neg, pulled)
+                    pair = (A.op, as_rows(pulled.tolist()))
                 else:
                     pulled = finv[a_op[np.ix_(f, f)]]
                     neg = (pulled == 0).argmax(axis=1)
-                    ok = _distributivity_ok(pulled, neg, m_op)
-                    pair = (_as_rows(pulled.tolist()), M.op)
+                    ok = distributivity_ok(pulled, neg, m_op)
+                    pair = (as_rows(pulled.tolist()), M.op)
                 if ok:
                     raw.add(pair)
     return _build_catalog(_canonical_braces(raw), n, "brute_force", limit)
@@ -383,12 +376,29 @@ def catalog_manifest(catalog: BraceCatalog) -> dict:
     }
 
 
-def brace_from_json_dict(obj: dict) -> SkewBrace:
-    try:
-        add = obj["add"]
-        mul = obj["mul"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"missing brace tables: {exc}") from exc
+def _int_table(obj: dict, key: str) -> list:
+    table = obj.get(key)
+    if not (
+        isinstance(table, list)
+        and all(
+            isinstance(row, list) and all(type(v) is int for v in row) for row in table
+        )
+    ):
+        raise ParseError(f"{key!r} must be a list of lists of integers")
+    return table
+
+
+def brace_from_json_dict(obj: object) -> SkewBrace:
+    """Validate a decoded JSON brace {"add": .., "mul": .., optional "n"}.
+
+    Anything but an object with two integer tables (and a matching "n") raises
+    ParseError; tables that are not a skew brace raise the validation error.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError("expected an object with 'add' and 'mul' tables")
+    add, mul = _int_table(obj, "add"), _int_table(obj, "mul")
+    if "n" in obj and not (type(obj["n"]) is int and obj["n"] == len(add)):
+        raise ParseError("declared order does not match table size")
     return validate_skew_brace(add, mul)
 
 
@@ -401,5 +411,6 @@ def catalog_from_jsonl(text: str) -> list[tuple[tuple[int, int], SkewBrace]]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(str(exc)) from exc
-        out.append((tuple(obj.get("id", (0, 0))), brace_from_json_dict(obj)))
+        brace = brace_from_json_dict(obj)
+        out.append((tuple(obj.get("id", (0, 0))), brace))
     return out

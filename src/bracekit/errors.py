@@ -71,3 +71,17 @@ class GapViolation(BraceKitError):
 
 class ParseError(BraceKitError):
     pass
+
+
+class InvariantViolation(BraceKitError):
+    """An independent cross-check disagreed: a construction or theorem bug."""
+
+
+def require(cond: bool, msg: str) -> None:
+    """Raise InvariantViolation(msg) unless cond holds.
+
+    Unlike ``assert`` this survives ``python -O``.  Pass a constant message so
+    that a passing check costs one call and nothing else.
+    """
+    if not cond:
+        raise InvariantViolation(msg)

@@ -56,6 +56,12 @@ class GroupTable:
         return bool((self.np_op == self.np_op.T).all())
 
     @cached_property
+    def conjugates(self) -> tuple[tuple[int, ...], ...]:
+        """Row x lists g x g^-1 for g = 0..n-1."""
+        op = self.np_op
+        return tuple(map(tuple, op[op.T, self.np_inv[None, :]].tolist()))
+
+    @cached_property
     def element_orders(self) -> tuple[int, ...]:
         orders = []
         for a in range(self.n):
@@ -76,11 +82,11 @@ class GroupTable:
         return {"n": self.n, "op": [list(row) for row in self.op]}
 
 
-def _as_rows(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+def as_rows(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(v) for v in row) for row in table)
 
 
-def _trusted_group(op: tuple[tuple[int, ...], ...]) -> GroupTable:
+def trusted_group(op: tuple[tuple[int, ...], ...]) -> GroupTable:
     """Build a GroupTable from a table known to be a group (skips the n^3 check).
 
     Used for tables that are groups by construction, e.g. holomorphs, whose
@@ -99,7 +105,7 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupTable:
     Raises IdentityNotZero, NotLatinSquare or NotAssociative naming the first
     violating cell or triple.
     """
-    op = _as_rows(table)
+    op = as_rows(table)
     n = len(op)
     if n == 0:
         raise IdentityNotZero(0, 0)
@@ -136,15 +142,27 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupTable:
     if not (lhs == rhs).all():
         bad = np.argwhere(lhs != rhs)[0]
         raise NotAssociative(int(bad[0]), int(bad[1]), int(bad[2]))
-    inv = [0] * n
-    for x in range(n):
-        inv[x] = op[x].index(0)
-    return GroupTable(n=n, op=op, inv=tuple(inv))
+    return trusted_group(op)
 
 
 def _check_index(x: int, n: int) -> None:
     if not 0 <= x < n:
         raise IndexOutOfRange(x, n)
+
+
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n, in increasing order."""
+    out = []
+    m, p = n, 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
+    return out
 
 
 def centralizer(G: GroupTable, x: int) -> ElementSet:
@@ -160,56 +178,67 @@ def center(G: GroupTable) -> ElementSet:
     return tuple(sorted(members))
 
 
-def subgroup_closure(G: GroupTable, S: Iterable[int]) -> ElementSet:
-    """Smallest subgroup of G containing S, by worklist closure."""
+def closure(
+    tables: Sequence[Sequence[Sequence[int]]],
+    S: Iterable[int],
+    cap: Optional[int] = None,
+    actions: Sequence[Sequence[Sequence[int]]] = (),
+) -> Optional[ElementSet]:
+    """Smallest set containing 0 and S that is closed under every table and
+    every action, as a sorted tuple; None once it exceeds cap elements.
+
+    A table is a Cayley table with identity 0; closure under it adds the
+    products of members in both orders.  In a finite group that is the
+    generated subgroup, since inverses are positive powers.  An action lists
+    in row x the elements that must join whenever x does, e.g. its
+    conjugates.  Worklist fixpoint: each new member is combined once with
+    every member present when it is taken up, and later members are combined
+    with it in turn.
+    """
+    n = len((tables or actions)[0])
+    limit = n if cap is None else cap
     members = {0}
     work = []
     for s in S:
-        _check_index(s, G.n)
+        _check_index(s, n)
         if s not in members:
             members.add(s)
             work.append(s)
-    while work:
-        x = work.pop()
-        for new in (G.inv[x],) + tuple(G.op[x][y] for y in tuple(members)) + tuple(
-            G.op[y][x] for y in tuple(members)
-        ):
-            if new not in members:
-                members.add(new)
-                work.append(new)
+    if len(members) > limit:
+        return None
+    for x in work:
+        images = [z for act in actions for z in act[x]]
+        for t in tables:
+            row = t[x]
+            images += [row[y] for y in members]
+            images += [t[y][x] for y in members]
+        for z in images:
+            if z not in members:
+                members.add(z)
+                work.append(z)
+                if len(members) > limit:
+                    return None
     return tuple(sorted(members))
 
 
-def _closure_capped(mul_row, gens: Iterable[int], cap: int) -> Optional[frozenset[int]]:
-    """Subgroup closure under a multiplication row-lookup, aborting above cap.
-
-    mul_row(a, b) multiplies; 0 must be the identity.  Returns None when the
-    closure exceeds cap elements.
-    """
-    members = {0}
-    members.update(gens)
-    frontier = list(members)
-    while frontier:
-        if len(members) > cap:
-            return None
-        new = []
-        for a in frontier:
-            for b in list(members):
-                for c in (mul_row(a, b), mul_row(b, a)):
-                    if c not in members:
-                        members.add(c)
-                        new.append(c)
-                        if len(members) > cap:
-                            return None
-        frontier = new
-    return frozenset(members)
+def subgroup_closure(G: GroupTable, S: Iterable[int]) -> ElementSet:
+    """Smallest subgroup of G containing S."""
+    return closure((G.op,), S)
 
 
 def is_subgroup(G: GroupTable, H: Iterable[int]) -> bool:
+    """Whether H contains 0 and is closed under products (so, being finite,
+    under inverses too)."""
     members = set(H)
-    if 0 not in members:
-        return False
-    return all(G.op[a][b] in members and G.inv[a] in members for a in members for b in members)
+    return 0 in members and all(
+        members.issuperset(map(G.op[a].__getitem__, members)) for a in members
+    )
+
+
+def is_conjugation_closed(G: GroupTable, H: Iterable[int]) -> bool:
+    """Whether g h g^-1 lies in H for every g in G and h in H."""
+    members = set(H)
+    return all(members.issuperset(G.conjugates[h]) for h in members)
 
 
 def commutator_subgroup(G: GroupTable) -> ElementSet:
@@ -219,11 +248,7 @@ def commutator_subgroup(G: GroupTable) -> ElementSet:
 
 def is_normal(G: GroupTable, H: Iterable[int]) -> bool:
     members = set(H)
-    if not is_subgroup(G, members):
-        return False
-    return all(
-        G.op[G.op[g][h]][G.inv[g]] in members for g in range(G.n) for h in members
-    )
+    return is_subgroup(G, members) and is_conjugation_closed(G, members)
 
 
 def conjugacy_class_sizes(G: GroupTable) -> tuple[int, ...]:
@@ -232,7 +257,7 @@ def conjugacy_class_sizes(G: GroupTable) -> tuple[int, ...]:
     for x in range(G.n):
         if x in seen:
             continue
-        cls = {G.op[G.op[g][x]][G.inv[g]] for g in range(G.n)}
+        cls = set(G.conjugates[x])
         seen |= cls
         sizes.append(len(cls))
     return tuple(sorted(sizes))
@@ -460,7 +485,7 @@ def canonical_form(G: GroupTable) -> tuple[GroupTable, Bijection]:
             label[y] = -1
 
     column(1, 1)
-    return _trusted_group(_as_rows(best)), best_sigma
+    return trusted_group(as_rows(best)), best_sigma
 
 
 def group_commuting_probability(G: GroupTable) -> Fraction:
@@ -574,7 +599,7 @@ def holomorph(G: GroupTable) -> Holomorph:
         comp = P[g][P]  # comp[h] = P[g] o P[h]
         cc = comp @ weights
         rows.append(tuple(int(v) for v in order[np.searchsorted(sorted_codes, cc)]))
-    table = _trusted_group(tuple(rows))
+    table = trusted_group(tuple(rows))
     return Holomorph(group=table, perms=tuple(ordered), degree=n)
 
 
@@ -615,23 +640,16 @@ def regular_subgroups(hol: Holomorph) -> list[ElementSet]:
         if (L := _uniform_cycle_length(hol.perms[g])) is not None and n % L == 0
     ]
     cand_set = set(candidates)
-    results: set[frozenset[int]] = set()
-    seen: set[frozenset[int]] = set()
-    op = table.op
+    results: set[ElementSet] = set()
+    seen: set[ElementSet] = set()
+    tables = (table.op,)
 
-    def mul(a: int, b: int) -> int:
-        return op[a][b]
-
-    def extend(S: frozenset[int], last: int) -> None:
+    def extend(S: ElementSet, last: int) -> None:
         for g in candidates:
             if g <= last or g in S:
                 continue
-            T = _closure_capped(mul, S | {g}, n)
-            if T is None:
-                continue
-            if any(x != 0 and x not in cand_set for x in T):
-                continue
-            if T in seen:
+            T = closure(tables, S + (g,), cap=n)
+            if T is None or not cand_set.issuperset(T[1:]) or T in seen:
                 continue
             seen.add(T)
             if len(T) == n:
@@ -639,9 +657,8 @@ def regular_subgroups(hol: Holomorph) -> list[ElementSet]:
             elif n % len(T) == 0:
                 extend(T, g)
 
-    base = frozenset({0})
     if n == 1:
-        results.add(base)
+        results.add((0,))
     else:
-        extend(base, -1)
-    return sorted(tuple(sorted(R)) for R in results)
+        extend((0,), -1)
+    return sorted(results)

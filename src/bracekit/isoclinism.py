@@ -13,6 +13,7 @@ from .braces import (
     series,
     validate_skew_brace,
 )
+from .errors import require
 from .groups import Bijection, ElementSet
 
 
@@ -34,10 +35,9 @@ def gamma2(B: SkewBrace) -> ElementSet:
     return terms[1] if len(terms) > 1 else terms[0]
 
 
-def _induced_brace(B: SkewBrace, members: ElementSet) -> SkewBrace:
+def induced_brace(B: SkewBrace, members: ElementSet) -> SkewBrace:
     """Sub-brace on members with elements relabelled by rank (0 stays 0)."""
     idx = {x: i for i, x in enumerate(members)}
-    m = len(members)
     add = [[idx[B.add.op[x][y]] for y in members] for x in members]
     mul = [[idx[B.mul.op[x][y]] for y in members] for x in members]
     return validate_skew_brace(add, mul)
@@ -49,7 +49,7 @@ def isoclinism_data(B: SkewBrace) -> IsoclinismData:
     ann = annihilator(B)
     quotient, cmap = quotient_brace(B, ann)
     g2 = gamma2(B)
-    g2_brace = _induced_brace(B, g2)
+    g2_brace = induced_brace(B, g2)
     g2_idx = {x: i for i, x in enumerate(g2)}
     m = quotient.n
     reps = [cmap.index(i) for i in range(m)]
@@ -59,10 +59,15 @@ def isoclinism_data(B: SkewBrace) -> IsoclinismData:
     phi_star = tuple(
         tuple(g2_idx[int(B.star_table[a, b])] for b in reps) for a in reps
     )
-    for a in range(B.n):
-        for b in range(B.n):
-            assert g2_idx[int(B.gamma_plus_table[a, b])] == phi_plus[cmap[a]][cmap[b]]
-            assert g2_idx[int(B.star_table[a, b])] == phi_star[cmap[a]][cmap[b]]
+    require(
+        all(
+            g2_idx[int(B.gamma_plus_table[a, b])] == phi_plus[cmap[a]][cmap[b]]
+            and g2_idx[int(B.star_table[a, b])] == phi_star[cmap[a]][cmap[b]]
+            for a in range(B.n)
+            for b in range(B.n)
+        ),
+        "commutator maps depend on the coset representatives",
+    )
     return IsoclinismData(
         quotient=quotient,
         gamma2=g2_brace,
@@ -99,7 +104,10 @@ def _diagram_commutes(
 def are_isoclinic(A: SkewBrace, B: SkewBrace) -> Optional[IsoclinismWitness]:
     """First witness pair in canonical (lexicographic xi, then theta) order,
     or None when the braces are not isoclinic."""
-    dA, dB = isoclinism_data(A), isoclinism_data(B)
+    return _witness(isoclinism_data(A), isoclinism_data(B))
+
+
+def _witness(dA: IsoclinismData, dB: IsoclinismData) -> Optional[IsoclinismWitness]:
     if dA.quotient.n != dB.quotient.n or dA.gamma2.n != dB.gamma2.n:
         return None
     xis = brace_isomorphisms(dA.quotient, dB.quotient)
@@ -134,11 +142,7 @@ def isoclinism_classes(braces: Sequence[SkewBrace]) -> list[list[int]]:
         for j in range(i + 1, len(braces)):
             if find(i) == find(j):
                 continue
-            if (
-                data[i].quotient.n == data[j].quotient.n
-                and data[i].gamma2.n == data[j].gamma2.n
-                and are_isoclinic(braces[i], braces[j]) is not None
-            ):
+            if _witness(data[i], data[j]) is not None:
                 parent[find(j)] = find(i)
     groups: dict[int, list[int]] = {}
     for i in range(len(braces)):

@@ -8,17 +8,15 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .braces import (
-    SkewBrace,
-    _check,
-    _prime_divisors,
-    annihilator,
-    cyclic_brace,
-    gamma_plus,
-    star,
+from .braces import SkewBrace, annihilator, cyclic_brace, gamma_plus, star
+from .errors import GapViolation, require
+from .groups import (
+    ElementSet,
+    centralizer,
+    group_commuting_probability,
+    is_subgroup,
+    prime_divisors,
 )
-from .errors import BadCyclicParameter, GapViolation
-from .groups import ElementSet, centralizer, group_commuting_probability
 
 
 @dataclass(frozen=True)
@@ -36,16 +34,14 @@ class CentralizerSuite:
 def centralizer_suite(B: SkewBrace, x: int) -> CentralizerSuite:
     """Exhaustive scan for Cb, Cb^l, Cb^r, Fix^l, Fix^r of x.
 
-    Asserts cb = cb_left ∩ cb_right and that cb is closed under the
-    multiplicative operation and inverses.
+    Checks that cb = cb_left ∩ cb_right and that cb is a subgroup of (B, o).
     """
-    _check(B, x)
+    c_mul = set(centralizer(B.mul, x))
+    c_add = set(centralizer(B.add, x))
     n = B.n
     lam = B.lambdas
     fix_left = tuple(b for b in range(n) if lam[b, x] == x)
     fix_right = tuple(b for b in range(n) if lam[x, b] == b)
-    c_mul = set(centralizer(B.mul, x))
-    c_add = set(centralizer(B.add, x))
     cb_left = tuple(b for b in fix_left if b in c_mul)
     cb_right = tuple(b for b in fix_right if b in c_add)
     cb = tuple(
@@ -55,14 +51,8 @@ def centralizer_suite(B: SkewBrace, x: int) -> CentralizerSuite:
         and B.gamma_circ_table[x, b] == 0
         and B.gamma_plus_table[x, b] == 0
     )
-    assert cb == tuple(sorted(set(cb_left) & set(cb_right)))
-    members = set(cb)
-    assert 0 in members
-    assert all(
-        B.mul.op[a][b] in members and B.mul.inv[a] in members
-        for a in members
-        for b in members
-    )
+    require(cb == tuple(sorted(set(cb_left) & set(cb_right))), "Cb(x) != Cb^l(x) & Cb^r(x)")
+    require(is_subgroup(B.mul, cb), "Cb(x) is not a subgroup of (B, o)")
     return CentralizerSuite(
         x=x, cb=cb, cb_left=cb_left, cb_right=cb_right,
         fix_left=fix_left, fix_right=fix_right,
@@ -83,21 +73,21 @@ def commuting_probability(B: SkewBrace) -> Fraction:
             ):
                 direct += 1
     by_centralizers = sum(len(centralizer_suite(B, x).cb) for x in range(n))
-    assert direct == by_centralizers
+    require(direct == by_centralizers, "pair count and centralizer sum disagree")
     return Fraction(direct, n * n)
 
 
 def cyclic_pb_formula(n: int, d: int) -> Fraction:
     """Closed-form Pb for the brace Z_n with x o y = x + y + dxy.
 
-    Sums gcd(dx mod n, n) over x, with gcd(0, n) = n; asserts agreement with
-    the pair-count probability of the constructed table.
+    Sums gcd(dx mod n, n) over x, with gcd(0, n) = n; checks agreement with
+    the pair-count probability of the constructed table.  Raises
+    BadCyclicParameter unless p | d | n for every prime p | n.
     """
-    if d <= 0 or n % d != 0 or any(d % p != 0 for p in _prime_divisors(n)):
-        raise BadCyclicParameter(d, n)
+    B = cyclic_brace(n, d)
     total = sum(gcd((d * x) % n, n) for x in range(n))
     value = Fraction(total, n * n)
-    assert value == commuting_probability(cyclic_brace(n, d))
+    require(value == commuting_probability(B), "gcd formula and pair count disagree")
     return value
 
 
@@ -144,7 +134,7 @@ class BoundReport:
 
 
 def _second_smallest_prime(n: int) -> Optional[int]:
-    ps = _prime_divisors(n)
+    ps = prime_divisors(n)
     return ps[1] if len(ps) >= 2 else None
 
 
@@ -154,7 +144,7 @@ def bound_report(B: SkewBrace) -> BoundReport:
     pb = commuting_probability(B)
     ann = annihilator(B)
     d = n // len(ann)
-    p = _prime_divisors(n)[0] if n > 1 else None
+    p = prime_divisors(n)[0] if n > 1 else None
     verdicts: list[BoundVerdict] = []
 
     def add(name: str, applicable: bool, lhs=None, rhs=None, holds=None):
@@ -198,7 +188,7 @@ def bound_report(B: SkewBrace) -> BoundReport:
 
     # non-prime-power quotient refinement
     q = _second_smallest_prime(n)
-    if p is not None and d > 1 and len(_prime_divisors(d)) >= 2 and q is not None:
+    if p is not None and d > 1 and len(prime_divisors(d)) >= 2 and q is not None:
         s = q if p * p > q else p * p
         rhs = (
             Fraction(1, p)
@@ -212,7 +202,7 @@ def bound_report(B: SkewBrace) -> BoundReport:
     # trivial-annihilator prime-power refinement
     if (
         p is not None
-        and len(_prime_divisors(n)) == 1
+        and len(prime_divisors(n)) == 1
         and len(ann) == 1
         and not _is_elementary_abelian(B)
     ):
@@ -230,7 +220,7 @@ def _is_elementary_abelian(B: SkewBrace) -> bool:
     mul = B.mul
     if not mul.is_abelian:
         return False
-    primes = _prime_divisors(B.n)
+    primes = prime_divisors(B.n)
     if len(primes) != 1:
         return B.n == 1
     p = primes[0]
@@ -254,7 +244,7 @@ class GapClass(enum.Enum):
 def gap_classify(B: SkewBrace) -> GapClass:
     """Place Pb(B) in the gap trichotomy 1 / 3/4 / (0, 5/8].
 
-    Asserts the exact characterizations: Pb = 3/4 iff the annihilator has
+    Checks the exact characterizations: Pb = 3/4 iff the annihilator has
     index 2, and Pb = 5/8 iff the index is 4 with every outer centralizer of
     order |B|/2.  A value in (5/8, 1) other than 3/4 raises GapViolation.
     """
@@ -262,13 +252,13 @@ def gap_classify(B: SkewBrace) -> GapClass:
     ann = annihilator(B)
     d = B.n // len(ann)
     if pb == 1:
-        assert d == 1
+        require(d == 1, "Pb = 1 but Ann != B")
         return GapClass.ONE
-    assert d > 1
+    require(d > 1, "Ann = B but Pb != 1")
     if pb == Fraction(3, 4):
-        assert d == 2
+        require(d == 2, "Pb = 3/4 but [B:Ann] != 2")
         return GapClass.THREE_QUARTERS
-    assert d != 2
+    require(d != 2, "[B:Ann] = 2 but Pb != 3/4")
     if pb > Fraction(5, 8):
         raise GapViolation(f"Pb = {pb} lies in (5/8, 1) \\ {{3/4}}")
     is_5_8 = pb == Fraction(5, 8)
@@ -277,5 +267,5 @@ def gap_classify(B: SkewBrace) -> GapClass:
         for x in range(B.n)
         if x not in set(ann)
     )
-    assert is_5_8 == chr_5_8
+    require(is_5_8 == chr_5_8, "Pb = 5/8 disagrees with its characterization")
     return GapClass.AT_MOST_5_8

@@ -13,6 +13,7 @@ from .braces import (
     socle_and_annihilator,
     structure_flags,
 )
+from .errors import require
 from .groups import ElementSet
 from .probability import commuting_probability
 
@@ -39,7 +40,7 @@ class BraceReport:
 
 def brace_report(B: SkewBrace) -> BraceReport:
     ker, soc, ann = socle_and_annihilator(B)
-    assert set(ann) <= set(soc) <= set(ker)
+    require(set(ann) <= set(soc) <= set(ker), "Ann, Soc and Ker(lambda) are not nested")
     return BraceReport(
         ker_lambda=ker,
         socle=soc,

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Callable, Sequence
 
 from .braces import (
     SkewBrace,
-    _prime_divisors,
     annihilator,
+    classify_subset,
     ideals,
     nilpotency_class,
     quotient_brace,
@@ -17,8 +18,9 @@ from .braces import (
     structure_flags,
     sub_braces,
 )
-from .errors import GapViolation
-from .isoclinism import _induced_brace, gamma2, is_stem, isoclinism_classes
+from .errors import GapViolation, InvariantViolation
+from .groups import prime_divisors
+from .isoclinism import gamma2, induced_brace, is_stem, isoclinism_classes
 from .probability import (
     GapClass,
     bound_report,
@@ -80,7 +82,7 @@ def check_gap(entries: CatalogEntries, scope: str) -> TheoremVerdict:
     for cid, B in entries:
         try:
             cls = gap_classify(B)
-        except (GapViolation, AssertionError) as exc:
+        except (GapViolation, InvariantViolation) as exc:
             violations.append((cid, f"gap classification failed: {exc}"))
             continue
         trivial = len(annihilator(B)) == B.n
@@ -155,7 +157,7 @@ def check_monotonicity(entries: CatalogEntries, scope: str) -> TheoremVerdict:
         pb = commuting_probability(B)
         for members in sub_braces(B):
             checked += 1
-            H = _induced_brace(B, members)
+            H = induced_brace(B, members)
             ph = commuting_probability(H)
             idx = B.n // H.n
             if pb > ph:
@@ -164,7 +166,7 @@ def check_monotonicity(entries: CatalogEntries, scope: str) -> TheoremVerdict:
                 violations.append((cid, f"index-squared bound fails for {members}"))
         for members in ideals(B):
             checked += 1
-            N = _induced_brace(B, members)
+            N = induced_brace(B, members)
             Q, _ = quotient_brace(B, members)
             if pb > commuting_probability(N) * commuting_probability(Q):
                 violations.append((cid, f"Pb(B) > Pb(N)Pb(B/N) for N = {members}"))
@@ -180,12 +182,12 @@ def check_prime_index(entries: CatalogEntries, scope: str) -> TheoremVerdict:
         ann = annihilator(B)
         d = B.n // len(ann)
         pb = commuting_probability(B)
-        if d > 1 and len(_prime_divisors(d)) == 1 and d == _prime_divisors(d)[0]:
+        if prime_divisors(d) == [d]:
             checked += 1
             if pb != Fraction(2 * d - 1, d * d):
                 violations.append((cid, f"d = {d} prime but Pb = {_frac(pb)}"))
         if B.n > 1:
-            p = _prime_divisors(B.n)[0]
+            p = prime_divisors(B.n)[0]
             if d > 1 and pb == Fraction(2 * p - 1, p * p):
                 checked += 1
                 Q, _ = quotient_brace(B, ann)
@@ -199,7 +201,7 @@ def check_p_squared(entries: CatalogEntries, scope: str) -> TheoremVerdict:
     violations = []
     checked = 0
     for cid, B in entries:
-        ps = _prime_divisors(B.n)
+        ps = prime_divisors(B.n)
         if len(ps) != 1 or B.n != ps[0] ** 2:
             continue
         checked += 1
@@ -228,7 +230,7 @@ def check_two_sided_pn(entries: CatalogEntries, scope: str) -> TheoremVerdict:
     violations = []
     checked = 0
     for cid, B in entries:
-        if B.n <= 1 or len(_prime_divisors(B.n)) != 1:
+        if B.n <= 1 or len(prime_divisors(B.n)) != 1:
             continue
         if not structure_flags(B).two_sided:
             continue
@@ -297,17 +299,14 @@ def check_cyclic_formula(entries: CatalogEntries, scope: str, orders=None) -> Th
     violations = []
     checked = 0
     for n in orders:
-        primes = _prime_divisors(n)
-        rad = 1
-        for p in primes:
-            rad *= p
+        rad = prod(prime_divisors(n))
         for d in range(1, n + 1):
             if n % d != 0 or d % rad != 0:
                 continue
             checked += 1
             try:
                 cyclic_pb_formula(n, d)
-            except AssertionError:
+            except InvariantViolation:
                 violations.append(((n, d), f"formula mismatch at n={n}, d={d}"))
     return _verdict("cyclic-formula", scope, checked, violations)
 
@@ -368,8 +367,6 @@ def open_question_observations(entries: CatalogEntries) -> dict:
     strict = []
     no_proper_sub = []
     star_left_non_ideal = []
-    from .braces import classify_subset
-
     for cid, B in entries:
         ann = set(annihilator(B))
         if 1 < len(ann) < B.n and all(

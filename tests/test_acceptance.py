@@ -132,13 +132,13 @@ def test_criterion_06_monotonicity():
 
 @criterion(7, "cyclic gcd formula to order 100")
 def test_criterion_07_cyclic_formula():
-    from bracekit.braces import _prime_divisors
+    from bracekit.groups import prime_divisors
 
     start = time.monotonic()
     checked = 0
     for n in range(1, 101):
         rad = 1
-        for p in _prime_divisors(n):
+        for p in prime_divisors(n):
             rad *= p
         for d in range(1, n + 1):
             if n % d == 0 and d % rad == 0:

@@ -32,7 +32,7 @@ from bracekit.braces import (
 )
 from bracekit.errors import BadCyclicParameter, DistributivityFails
 from bracekit.groups import (
-    _as_rows,
+    as_rows,
     cyclic_group,
     dihedral_group,
     klein_four_group,
@@ -50,7 +50,7 @@ def test_validate_rejects_distributivity_failure():
 
 def test_validate_rejects_twisted_cyclic():
     z4 = cyclic_group(4)
-    twisted = _as_rows(relabel(z4.np_op, [0, 2, 1, 3]).tolist())
+    twisted = as_rows(relabel(z4.np_op, [0, 2, 1, 3]).tolist())
     with pytest.raises(DistributivityFails):
         validate_skew_brace(z4.op, twisted)
 
@@ -176,8 +176,8 @@ def test_direct_product_flags_and_order():
 def test_canonical_pair_relabeling_invariant(tail):
     sigma = [0] + list(tail)
     B = cyclic_brace(4, 2)
-    add = _as_rows(relabel(B.add.np_op, sigma).tolist())
-    mul = _as_rows(relabel(B.mul.np_op, sigma).tolist())
+    add = as_rows(relabel(B.add.np_op, sigma).tolist())
+    mul = as_rows(relabel(B.mul.np_op, sigma).tolist())
     C = validate_skew_brace(add, mul)
     assert canonical_pair(B) == canonical_pair(C)
 
@@ -187,8 +187,8 @@ def test_canonical_pair_relabeling_invariant(tail):
 def test_canonical_pair_relabeling_invariant_order_8(tail):
     sigma = [0] + list(tail)
     B = opposite_brace(quaternion_group())
-    add = _as_rows(relabel(B.add.np_op, sigma).tolist())
-    mul = _as_rows(relabel(B.mul.np_op, sigma).tolist())
+    add = as_rows(relabel(B.add.np_op, sigma).tolist())
+    mul = as_rows(relabel(B.mul.np_op, sigma).tolist())
     C = validate_skew_brace(add, mul)
     assert canonical_pair(B) == canonical_pair(C)
 

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from bracekit.enumeration import groups_of_order
 from bracekit.errors import IdentityNotZero, NotAssociative, NotLatinSquare
 from bracekit.groups import (
-    _as_rows,
-    _trusted_group,
+    as_rows,
     automorphism_group,
     canonical_form,
     center,
@@ -34,6 +33,7 @@ from bracekit.groups import (
     regular_subgroups,
     relabel,
     subgroup_closure,
+    trusted_group,
     validate_group,
 )
 
@@ -139,7 +139,7 @@ def test_automorphism_counts():
 def test_canonical_form_relabeling_invariant(tail):
     sigma = [0] + list(tail)
     G = dihedral_group(2)
-    H = validate_group(_as_rows(relabel(G.np_op, sigma).tolist()))
+    H = validate_group(as_rows(relabel(G.np_op, sigma).tolist()))
     assert canonical_form(G)[0].op == canonical_form(H)[0].op
 
 
@@ -148,7 +148,7 @@ def test_canonical_form_relabeling_invariant(tail):
 def test_canonical_form_relabeling_invariant_q8(tail):
     sigma = [0] + list(tail)
     G = quaternion_group()
-    H = validate_group(_as_rows(relabel(G.np_op, sigma).tolist()))
+    H = validate_group(as_rows(relabel(G.np_op, sigma).tolist()))
     assert canonical_form(G)[0].op == canonical_form(H)[0].op
 
 
@@ -168,8 +168,8 @@ def _canonical_form_reference(G):
             best_bytes = m
             best_sigma = tuple(int(v) for v in sigma)
     arr = np.frombuffer(best_bytes, dtype=np.uint8).reshape(n, n)
-    table = _as_rows(arr.tolist())
-    return _trusted_group(table), best_sigma
+    table = as_rows(arr.tolist())
+    return trusted_group(table), best_sigma
 
 
 GROUPS_UP_TO_8 = [
@@ -183,7 +183,7 @@ GROUPS_UP_TO_8 = [
 def test_canonical_form_matches_reference_scan(n, index, data):
     G = groups_of_order(n)[index]
     sigma = [0] + data.draw(st.permutations(list(range(1, n))))
-    H = validate_group(_as_rows(relabel(G.np_op, sigma).tolist()))
+    H = validate_group(as_rows(relabel(G.np_op, sigma).tolist()))
     C, witness = canonical_form(H)
     C_ref, witness_ref = _canonical_form_reference(H)
     assert C.op == C_ref.op
@@ -193,7 +193,7 @@ def test_canonical_form_matches_reference_scan(n, index, data):
 def test_canonical_witness_recovers_canonical_table():
     G = dihedral_group(4)
     C, sigma = canonical_form(G)
-    assert _as_rows(relabel(G.np_op, sigma).tolist()) == C.op
+    assert as_rows(relabel(G.np_op, sigma).tolist()) == C.op
 
 
 def test_holomorph_orders_and_regular_subgroups():

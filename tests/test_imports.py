@@ -1,0 +1,24 @@
+"""Package layout: modules share helpers through public names only."""
+
+import ast
+from pathlib import Path
+
+import bracekit
+
+PACKAGE = Path(bracekit.__file__).parent
+
+
+def test_no_private_cross_module_imports():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("bracekit"):
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert not found, found

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from bracekit import isoclinism
 from bracekit.braces import cyclic_brace, direct_product, opposite_brace, trivial_brace
 from bracekit.enumeration import skew_braces_of_order
 from bracekit.groups import cyclic_group, klein_four_group, quaternion_group
@@ -106,3 +107,20 @@ def test_class_count_orders_up_to_6():
         pbs = {commuting_probability(braces[i]) for i in cls}
         assert len(pbs) == 1
         assert any(is_stem(braces[i]) for i in cls)
+
+
+def test_classes_compute_isoclinism_data_once_per_brace(monkeypatch):
+    braces = []
+    for n in range(1, 7):
+        braces += [e.brace for e in skew_braces_of_order(n).entries]
+    seen = []
+    original = isoclinism.isoclinism_data
+
+    def counting(B):
+        seen.append(B)
+        return original(B)
+
+    monkeypatch.setattr(isoclinism, "isoclinism_data", counting)
+    assert len(isoclinism.isoclinism_classes(braces)) == 7
+    assert len(seen) == len(braces)
+    assert all(a is b for a, b in zip(seen, braces))

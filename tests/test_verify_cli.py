@@ -1,9 +1,16 @@
 """Theorem suites and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bracekit
 from bracekit.braces import cyclic_brace
 from bracekit.cli import main
 from bracekit.enumeration import skew_braces_of_order
@@ -169,3 +176,133 @@ def test_cli_verify_brute_method(capsys):
     ) == 0
     report = json.loads(capsys.readouterr().out)
     assert report[0]["checked"] == 4
+
+
+# -- malformed input ---------------------------------------------------------
+
+
+Z2 = [[0, 1], [1, 0]]
+
+
+def _write(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"add": 5, "mul": 5},
+        {"add": [[0, 1], [1, "x"]], "mul": Z2},
+        {"add": [[0, 1], [1, 0.5]], "mul": Z2},  # int() would truncate it to Z2
+        {"add": [[0, True], [True, 0]], "mul": Z2},
+        {"add": Z2},
+        {"n": 3, "add": Z2, "mul": Z2},
+        {"n": "2", "add": Z2, "mul": Z2},
+        [Z2, Z2],
+    ],
+)
+def test_cli_malformed_brace_exits_2(tmp_path, doc, capsys):
+    path = _write(tmp_path / "doc.json", doc)
+    assert main(["validate", path]) == 2
+    assert json.loads(capsys.readouterr().out)["valid"] is False
+    assert main(["analyze", path]) == 2
+
+
+def test_cli_bad_cap_env_and_order_exit_2(monkeypatch, capsys):
+    assert main(["enumerate", "0"]) == 2
+    monkeypatch.setenv("BRACEKIT_CAP", "abc")
+    assert main(["verify", "--orders", "1..2"]) == 2
+    assert main(["verify"]) == 2
+    assert main(["enumerate", "2"]) == 2
+    assert "BRACEKIT_CAP" in capsys.readouterr().err
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 5)
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=2)
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+_VALID_TABLES = [
+    [list(r) for r in t]
+    for t in (
+        ((0,),),
+        tuple(map(tuple, Z2)),
+        cyclic_brace(4, 2).add.op,
+        cyclic_brace(4, 2).mul.op,
+        cyclic_brace(3, 3).add.op,
+    )
+]
+
+
+@st.composite
+def _tables(draw):
+    kind = draw(st.sampled_from(["valid", "mutated", "random", "json"]))
+    if kind == "json":
+        return draw(_JSON)
+    if kind == "random":
+        return draw(st.lists(st.lists(_SCALARS, max_size=4), max_size=4))
+    table = [row[:] for row in draw(st.sampled_from(_VALID_TABLES))]
+    if kind == "mutated":
+        i = draw(st.integers(0, len(table) - 1))
+        j = draw(st.integers(0, len(table[i]) - 1))
+        table[i][j] = draw(_SCALARS)
+    return table
+
+
+_DOCS = _JSON | st.fixed_dictionaries(
+    {"add": _tables(), "mul": _tables()}, optional={"n": st.integers(-1, 5) | _JSON}
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCS)
+def test_cli_fuzz_json_shapes_exit_0_or_2(fuzz_path, doc):
+    path = _write(fuzz_path, doc)
+    rc = main(["validate", path])
+    assert rc in (0, 2)
+    assert main(["analyze", path]) == rc
+
+
+# -- cross-checks under python -O ---------------------------------------------
+
+
+FAULTY_GCD = """
+import math, sys
+import bracekit.probability as probability
+from bracekit.cli import main
+if not sys.flags.optimize:
+    sys.exit(3)
+probability.gcd = lambda a, n: math.gcd(a, n) + (n == 4)
+sys.exit(main(["verify", "--theorems", "cyclic-formula", "--orders", "4"]))
+"""
+
+
+def test_cross_checks_survive_python_O():
+    src = str(Path(bracekit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FAULTY_GCD],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 1, proc.stderr
+    (verdict,) = json.loads(proc.stdout)
+    assert verdict["status"] == "fail"
+    assert [v["id"] for v in verdict["violations"]] == [[4, 2], [4, 4]]
