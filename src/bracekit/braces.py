@@ -4,6 +4,7 @@ products, ideals, quotients, series and nilpotency."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -75,12 +76,68 @@ class SkewBrace:
         arr.flags.writeable = False
         return arr
 
+    @cached_property
+    def centralizers(self) -> Centralizers:
+        return _centralizers(self)
+
+    @cached_property
+    def ker_soc_ann(self) -> tuple[ElementSet, ElementSet, ElementSet]:
+        """(Ker(lambda), Soc(B), Ann(B)); Ann is verified to be an ideal."""
+        ker = ker_lambda(self)
+        zadd = set(center(self.add))
+        soc = tuple(a for a in ker if a in zadd)
+        zmul = set(center(self.mul))
+        ann = tuple(a for a in soc if a in zmul)
+        require(classify_subset(self, ann).is_ideal, "Ann(B) is not an ideal")
+        return ker, soc, ann
+
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "add": [list(r) for r in self.add.op],
             "mul": [list(r) for r in self.mul.op],
         }
+
+
+@dataclass(frozen=True, eq=False)
+class Centralizers:
+    """The centralizer-style sets of every element as read-only n x n boolean
+    masks (row x of cb is Cb(x), and so on), with the exact Pb."""
+
+    cb: np.ndarray
+    cb_left: np.ndarray
+    cb_right: np.ndarray
+    fix_left: np.ndarray
+    fix_right: np.ndarray
+    pb: Fraction
+
+
+def _centralizers(B: SkewBrace) -> Centralizers:
+    """Cb(x) = {b : x*b = 0, [x, b]_o = 0, [x, b]_+ = 0} for every x at once.
+
+    Cross-checks: Cb = Cb^l & Cb^r, where Cb^l and Cb^r come from the lambda
+    maps and the commutation masks of the two groups alone; every Cb(x) is a
+    subgroup of (B, o); and the direct count of pairs with a*b = b*a = 0 and
+    a + b = b + a equals the sum of the |Cb(x)|.
+    """
+    L, S = B.lambdas, B.star_table
+    add, mul = B.add.np_op, B.mul.np_op
+    ids = np.arange(B.n)
+    fix_left = L.T == ids[:, None]  # lam_b(x) = x
+    fix_right = L == ids[None, :]  # lam_x(b) = b
+    cb_left = fix_left & (mul == mul.T)
+    cb_right = fix_right & (add == add.T)
+    cb = (S == 0) & (B.gamma_circ_table == 0) & (B.gamma_plus_table == 0)
+    require((cb == (cb_left & cb_right)).all(), "Cb(x) != Cb^l(x) & Cb^r(x)")
+    # cb[x, a o b] wherever a and b both lie in Cb(x)
+    closed = (cb[:, mul] | ~(cb[:, :, None] & cb[:, None, :])).all()
+    require(bool(cb[:, 0].all() and closed), "Cb(x) is not a subgroup of (B, o)")
+    pairs = int(np.count_nonzero((S == 0) & (S.T == 0) & (add == add.T)))
+    require(pairs == np.count_nonzero(cb), "pair count and centralizer sum disagree")
+    masks = (cb, cb_left, cb_right, fix_left, fix_right)
+    for m in masks:
+        m.flags.writeable = False
+    return Centralizers(*masks, pb=Fraction(pairs, B.n * B.n))
 
 
 def distributivity_ok(add: np.ndarray, neg: np.ndarray, mul: np.ndarray) -> bool:
@@ -247,14 +304,8 @@ def ker_lambda(B: SkewBrace) -> ElementSet:
 
 
 def socle_and_annihilator(B: SkewBrace) -> tuple[ElementSet, ElementSet, ElementSet]:
-    """(Ker(lambda), Soc(B), Ann(B)); Ann is verified to be an ideal."""
-    ker = ker_lambda(B)
-    zadd = set(center(B.add))
-    soc = tuple(a for a in ker if a in zadd)
-    zmul = set(center(B.mul))
-    ann = tuple(a for a in soc if a in zmul)
-    require(classify_subset(B, ann).is_ideal, "Ann(B) is not an ideal")
-    return ker, soc, ann
+    """(Ker(lambda), Soc(B), Ann(B)), computed once per brace."""
+    return B.ker_soc_ann
 
 
 def annihilator(B: SkewBrace) -> ElementSet:
@@ -327,34 +378,29 @@ def series(B: SkewBrace, kind: str) -> list[ElementSet]:
     left ideals.
     """
     full = tuple(range(B.n))
+    S, gp = B.star_table, B.gamma_plus_table
     if kind == "ann":
         terms = [annihilator(B)]
         while True:
-            prev = set(terms[-1])
-            nxt = tuple(
-                a
-                for a in range(B.n)
-                if all(
-                    int(B.star_table[a, b]) in prev
-                    and int(B.star_table[b, a]) in prev
-                    and int(B.gamma_plus_table[a, b]) in prev
-                    for b in range(B.n)
-                )
-            )
-            if set(nxt) == prev or len(terms) > B.n:
+            prev = np.zeros(B.n, dtype=bool)
+            prev[list(terms[-1])] = True
+            # a joins when a*b, b*a and [a, b]_+ lie in the previous term for all b
+            nxt = tuple(np.flatnonzero((prev[S] & prev[S.T] & prev[gp]).all(axis=1)).tolist())
+            if nxt == terms[-1] or len(terms) > B.n:
                 break
             terms.append(nxt)
         return terms
     if kind == "gamma":
         terms = [full]
         while True:
-            prev = terms[-1]
-            gens = {int(B.star_table[a, u]) for a in range(B.n) for u in prev}
-            gens |= {int(B.star_table[u, a]) for a in range(B.n) for u in prev}
-            gens |= {int(B.gamma_plus_table[a, u]) for a in range(B.n) for u in prev}
-            nxt = subgroup_closure(B.add, gens)
+            prev = list(terms[-1])
+            gens = np.zeros(B.n, dtype=bool)
+            gens[S[:, prev]] = True
+            gens[S[prev, :]] = True
+            gens[gp[:, prev]] = True
+            nxt = subgroup_closure(B.add, np.flatnonzero(gens).tolist())
             require(set(nxt) <= set(prev), "gamma series is not descending")
-            if nxt == prev or len(terms) > B.n:
+            if nxt == terms[-1] or len(terms) > B.n:
                 break
             require(classify_subset(B, nxt).is_ideal, "gamma term is not an ideal")
             terms.append(nxt)

@@ -22,6 +22,7 @@ from .errors import (
     NotAssociative,
     NotLatinSquare,
     NotNormal,
+    require,
 )
 
 ElementSet = tuple[int, ...]
@@ -112,6 +113,42 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupTable:
     for i, row in enumerate(op):
         if len(row) != n:
             raise NotLatinSquare(i, len(row), -1)
+    try:
+        arr = np.array(op, dtype=np.int64)
+    except OverflowError:
+        arr = None
+    if arr is None or not _is_latin_with_identity(arr):
+        _raise_first_table_fault(op)
+        require(False, "array tests and table scans disagree")
+    lhs = arr[arr]  # lhs[x,y,z] = op[op[x,y], z]
+    rhs = arr[:, arr]  # rhs[x,y,z] = op[x, op[y,z]]
+    if not (lhs == rhs).all():
+        bad = np.argwhere(lhs != rhs)[0]
+        raise NotAssociative(int(bad[0]), int(bad[1]), int(bad[2]))
+    return trusted_group(op)
+
+
+def _is_latin_with_identity(arr: np.ndarray) -> bool:
+    """Every cell in range, row 0 and column 0 the identity, and every row
+    and every column a permutation."""
+    n = len(arr)
+    ids = np.arange(n)
+    if not ((arr >= 0) & (arr < n)).all():
+        return False
+    in_row = np.zeros((n, n), dtype=bool)
+    in_row[ids[:, None], arr] = True  # the value of cell (i, j) occurs in row i
+    in_col = np.zeros((n, n), dtype=bool)
+    in_col[arr, ids[None, :]] = True  # the value of cell (i, j) occurs in column j
+    return bool(
+        (arr[0] == ids).all() and (arr[:, 0] == ids).all() and in_row.all() and in_col.all()
+    )
+
+
+def _raise_first_table_fault(op: tuple[tuple[int, ...], ...]) -> None:
+    """Scan a square table for the first cell out of range, off the identity
+    row or column, or repeated in a row or column, and raise for it."""
+    n = len(op)
+    for i, row in enumerate(op):
         for j, v in enumerate(row):
             if not 0 <= v < n:
                 raise NotLatinSquare(i, j, v)
@@ -122,27 +159,18 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupTable:
         if op[i][0] != i:
             raise IdentityNotZero(i, 0)
     for i in range(n):
-        if len(set(op[i])) != n:
-            seen: set[int] = set()
-            for j, v in enumerate(op[i]):
-                if v in seen:
-                    raise NotLatinSquare(i, j, v)
-                seen.add(v)
+        seen: set[int] = set()
+        for j, v in enumerate(op[i]):
+            if v in seen:
+                raise NotLatinSquare(i, j, v)
+            seen.add(v)
     for j in range(n):
-        col = [op[i][j] for i in range(n)]
-        if len(set(col)) != n:
-            seen = set()
-            for i, v in enumerate(col):
-                if v in seen:
-                    raise NotLatinSquare(i, j, v)
-                seen.add(v)
-    arr = np.array(op, dtype=np.int64)
-    lhs = arr[arr]  # lhs[x,y,z] = op[op[x,y], z]
-    rhs = arr[:, arr]  # rhs[x,y,z] = op[x, op[y,z]]
-    if not (lhs == rhs).all():
-        bad = np.argwhere(lhs != rhs)[0]
-        raise NotAssociative(int(bad[0]), int(bad[1]), int(bad[2]))
-    return trusted_group(op)
+        seen = set()
+        for i in range(n):
+            v = op[i][j]
+            if v in seen:
+                raise NotLatinSquare(i, j, v)
+            seen.add(v)
 
 
 def _check_index(x: int, n: int) -> None:
@@ -172,10 +200,7 @@ def centralizer(G: GroupTable, x: int) -> ElementSet:
 
 
 def center(G: GroupTable) -> ElementSet:
-    members = set(range(G.n))
-    for x in range(G.n):
-        members &= set(centralizer(G, x))
-    return tuple(sorted(members))
+    return tuple(np.flatnonzero((G.np_op == G.np_op.T).all(axis=1)).tolist())
 
 
 def closure(

@@ -8,15 +8,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .braces import SkewBrace, annihilator, cyclic_brace, gamma_plus, star
-from .errors import GapViolation, require
-from .groups import (
-    ElementSet,
-    centralizer,
-    group_commuting_probability,
-    is_subgroup,
-    prime_divisors,
-)
+import numpy as np
+
+from .braces import SkewBrace, annihilator, cyclic_brace
+from .errors import GapViolation, IndexOutOfRange, require
+from .groups import ElementSet, group_commuting_probability, prime_divisors
 
 
 @dataclass(frozen=True)
@@ -32,61 +28,40 @@ class CentralizerSuite:
 
 
 def centralizer_suite(B: SkewBrace, x: int) -> CentralizerSuite:
-    """Exhaustive scan for Cb, Cb^l, Cb^r, Fix^l, Fix^r of x.
+    """Cb, Cb^l, Cb^r, Fix^l, Fix^r of x: row x of the brace's centralizer
+    masks, which are computed and cross-checked once per brace."""
+    if not 0 <= x < B.n:
+        raise IndexOutOfRange(x, B.n)
+    c = B.centralizers
 
-    Checks that cb = cb_left ∩ cb_right and that cb is a subgroup of (B, o).
-    """
-    c_mul = set(centralizer(B.mul, x))
-    c_add = set(centralizer(B.add, x))
-    n = B.n
-    lam = B.lambdas
-    fix_left = tuple(b for b in range(n) if lam[b, x] == x)
-    fix_right = tuple(b for b in range(n) if lam[x, b] == b)
-    cb_left = tuple(b for b in fix_left if b in c_mul)
-    cb_right = tuple(b for b in fix_right if b in c_add)
-    cb = tuple(
-        b
-        for b in range(n)
-        if B.star_table[x, b] == 0
-        and B.gamma_circ_table[x, b] == 0
-        and B.gamma_plus_table[x, b] == 0
-    )
-    require(cb == tuple(sorted(set(cb_left) & set(cb_right))), "Cb(x) != Cb^l(x) & Cb^r(x)")
-    require(is_subgroup(B.mul, cb), "Cb(x) is not a subgroup of (B, o)")
+    def row(mask) -> ElementSet:
+        return tuple(np.flatnonzero(mask[x]).tolist())
+
     return CentralizerSuite(
-        x=x, cb=cb, cb_left=cb_left, cb_right=cb_right,
-        fix_left=fix_left, fix_right=fix_right,
+        x=x, cb=row(c.cb), cb_left=row(c.cb_left), cb_right=row(c.cb_right),
+        fix_left=row(c.fix_left), fix_right=row(c.fix_right),
     )
 
 
 def commuting_probability(B: SkewBrace) -> Fraction:
-    """Exact Pb(B), computed by the direct pair count of the defining triple
-    condition and, independently, by the centralizer sum; both must agree."""
-    n = B.n
-    direct = 0
-    for a in range(n):
-        for b in range(n):
-            if (
-                star(B, a, b) == 0
-                and star(B, b, a) == 0
-                and gamma_plus(B, a, b) == 0
-            ):
-                direct += 1
-    by_centralizers = sum(len(centralizer_suite(B, x).cb) for x in range(n))
-    require(direct == by_centralizers, "pair count and centralizer sum disagree")
-    return Fraction(direct, n * n)
+    """Exact Pb(B), computed once per brace by the direct pair count of the
+    defining triple condition and, independently, by the centralizer sum;
+    both must agree."""
+    return B.centralizers.pb
+
+
+def cyclic_gcd_formula(n: int, d: int) -> Fraction:
+    """Closed-form Pb for the brace Z_n with x o y = x + y + dxy: the sum of
+    gcd(dx mod n, n) over x, with gcd(0, n) = n, over n^2."""
+    return Fraction(sum(gcd((d * x) % n, n) for x in range(n)), n * n)
 
 
 def cyclic_pb_formula(n: int, d: int) -> Fraction:
-    """Closed-form Pb for the brace Z_n with x o y = x + y + dxy.
-
-    Sums gcd(dx mod n, n) over x, with gcd(0, n) = n; checks agreement with
-    the pair-count probability of the constructed table.  Raises
-    BadCyclicParameter unless p | d | n for every prime p | n.
-    """
+    """cyclic_gcd_formula(n, d), checked against the pair-count probability of
+    the constructed table.  Raises BadCyclicParameter unless p | d | n for
+    every prime p | n."""
     B = cyclic_brace(n, d)
-    total = sum(gcd((d * x) % n, n) for x in range(n))
-    value = Fraction(total, n * n)
+    value = cyclic_gcd_formula(n, d)
     require(value == commuting_probability(B), "gcd formula and pair count disagree")
     return value
 
@@ -175,9 +150,8 @@ def bound_report(B: SkewBrace) -> BoundReport:
 
     # strict-centralizer refinement: if Ann ⊊ Cb(x) for all x, Pb >= (pd+d-p)/d^2
     if p is not None and d > 1:
-        hyp = all(
-            set(ann) < set(centralizer_suite(B, x).cb) for x in range(n)
-        )
+        cb = B.centralizers.cb
+        hyp = bool(cb[:, list(ann)].all() and (np.count_nonzero(cb, axis=1) > len(ann)).all())
         if hyp:
             lhs = Fraction(p * d + d - p, d * d)
             add("lower-strict-centralizers", True, lhs, pb, lhs <= pb)
@@ -262,10 +236,8 @@ def gap_classify(B: SkewBrace) -> GapClass:
     if pb > Fraction(5, 8):
         raise GapViolation(f"Pb = {pb} lies in (5/8, 1) \\ {{3/4}}")
     is_5_8 = pb == Fraction(5, 8)
-    chr_5_8 = d == 4 and all(
-        2 * len(centralizer_suite(B, x).cb) == B.n
-        for x in range(B.n)
-        if x not in set(ann)
-    )
+    outer = np.ones(B.n, dtype=bool)
+    outer[list(ann)] = False
+    chr_5_8 = d == 4 and bool((2 * np.count_nonzero(B.centralizers.cb[outer], axis=1) == B.n).all())
     require(is_5_8 == chr_5_8, "Pb = 5/8 disagrees with its characterization")
     return GapClass.AT_MOST_5_8

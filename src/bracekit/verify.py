@@ -11,6 +11,7 @@ from .braces import (
     SkewBrace,
     annihilator,
     classify_subset,
+    cyclic_brace,
     ideals,
     nilpotency_class,
     quotient_brace,
@@ -26,7 +27,7 @@ from .probability import (
     bound_report,
     centralizer_suite,
     commuting_probability,
-    cyclic_pb_formula,
+    cyclic_gcd_formula,
     gap_classify,
 )
 
@@ -304,9 +305,7 @@ def check_cyclic_formula(entries: CatalogEntries, scope: str, orders=None) -> Th
             if n % d != 0 or d % rad != 0:
                 continue
             checked += 1
-            try:
-                cyclic_pb_formula(n, d)
-            except InvariantViolation:
+            if cyclic_gcd_formula(n, d) != commuting_probability(cyclic_brace(n, d)):
                 violations.append(((n, d), f"formula mismatch at n={n}, d={d}"))
     return _verdict("cyclic-formula", scope, checked, violations)
 

@@ -221,3 +221,69 @@ def test_direct_product_group_shape():
     G = direct_product_group(cyclic_group(2), cyclic_group(3))
     assert G.n == 6
     assert is_isomorphic(G, cyclic_group(6))
+
+
+def _validate_group_reference(table):
+    """The Python scans validate_group ran before its array tests, in order."""
+    op = as_rows(table)
+    n = len(op)
+    if n == 0:
+        raise IdentityNotZero(0, 0)
+    for i, row in enumerate(op):
+        if len(row) != n:
+            raise NotLatinSquare(i, len(row), -1)
+        for j, v in enumerate(row):
+            if not 0 <= v < n:
+                raise NotLatinSquare(i, j, v)
+    for j in range(n):
+        if op[0][j] != j:
+            raise IdentityNotZero(0, j)
+    for i in range(n):
+        if op[i][0] != i:
+            raise IdentityNotZero(i, 0)
+    for i in range(n):
+        if len(set(op[i])) != n:
+            seen: set[int] = set()
+            for j, v in enumerate(op[i]):
+                if v in seen:
+                    raise NotLatinSquare(i, j, v)
+                seen.add(v)
+    for j in range(n):
+        col = [op[i][j] for i in range(n)]
+        if len(set(col)) != n:
+            seen = set()
+            for i, v in enumerate(col):
+                if v in seen:
+                    raise NotLatinSquare(i, j, v)
+                seen.add(v)
+    arr = np.array(op, dtype=np.int64)
+    bad = np.argwhere(arr[arr] != arr[:, arr])
+    if len(bad):
+        raise NotAssociative(*map(int, bad[0]))
+    return trusted_group(op)
+
+
+def _outcome(f, table):
+    try:
+        return f(table)
+    except (IdentityNotZero, NotLatinSquare, NotAssociative) as exc:
+        return type(exc), exc.args
+
+
+VALIDATION_GROUPS = [G for n in range(1, 9) for G in groups_of_order(n)] + [
+    cyclic_group(12),
+    dihedral_group(6),
+]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_validate_group_matches_reference_scan_on_corrupted_tables(data):
+    G = data.draw(st.sampled_from(VALIDATION_GROUPS))
+    n = G.n
+    table = [list(row) for row in G.op]
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    table[i][j] = data.draw(
+        st.one_of(st.integers(-2, n + 1), st.sampled_from([2**63, -(2**64), 10**30]))
+    )
+    assert _outcome(validate_group, table) == _outcome(_validate_group_reference, table)
