@@ -32,7 +32,6 @@ from .groups import (
     isomorphisms,
     prime_divisors,
     quotient_group,
-    relabel,
     subgroup_closure,
     trusted_group,
     validate_group,
@@ -91,13 +90,6 @@ class SkewBrace:
         require(classify_subset(self, ann).is_ideal, "Ann(B) is not an ideal")
         return ker, soc, ann
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "add": [list(r) for r in self.add.op],
-            "mul": [list(r) for r in self.mul.op],
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class Centralizers:
@@ -140,31 +132,28 @@ def _centralizers(B: SkewBrace) -> Centralizers:
     return Centralizers(*masks, pb=Fraction(pairs, B.n * B.n))
 
 
-def distributivity_ok(add: np.ndarray, neg: np.ndarray, mul: np.ndarray) -> bool:
+def distributivity_failures(add: np.ndarray, neg: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """Boolean mask, True at [a, b, c] where a o (b + c) != (a o b) - a + (a o c)."""
     lhs = mul[:, add]  # lhs[a,b,c] = a o (b + c)
     t1 = add[mul, neg[:, None]]  # (a o b) - a
     rhs = add[t1[:, :, None], mul[:, None, :]]
-    return bool((lhs == rhs).all())
+    return lhs != rhs
 
 
 def validate_skew_brace(
     add_table: Sequence[Sequence[int]] | GroupTable,
     mul_table: Sequence[Sequence[int]] | GroupTable,
 ) -> SkewBrace:
-    """Validate both groups and skew left distributivity over all triples."""
+    """Validate both groups and skew left distributivity over all triples;
+    DistributivityFails names the first failing (a, b, c) in row-major order."""
     add = add_table if isinstance(add_table, GroupTable) else validate_group(add_table)
     mul = mul_table if isinstance(mul_table, GroupTable) else validate_group(mul_table)
     if add.n != mul.n:
         raise IdentityMismatch(f"orders differ: {add.n} vs {mul.n}")
-    a_op, neg, m_op = add.np_op, add.np_inv, mul.np_op
-    if not distributivity_ok(a_op, neg, m_op):
-        for a in range(add.n):
-            for b in range(add.n):
-                for c in range(add.n):
-                    left = mul.op[a][add.op[b][c]]
-                    right = add.op[add.op[mul.op[a][b]][add.inv[a]]][mul.op[a][c]]
-                    if left != right:
-                        raise DistributivityFails(a, b, c)
+    fails = distributivity_failures(add.np_op, add.np_inv, mul.np_op)
+    if fails.any():
+        a, b, c = np.argwhere(fails)[0].tolist()
+        raise DistributivityFails(a, b, c)
     B = SkewBrace(n=add.n, add=add, mul=mul)
     _assert_lambda_laws(B)
     return B
@@ -273,7 +262,7 @@ def is_two_sided(B: SkewBrace) -> bool:
 
 
 def is_symmetric(B: SkewBrace) -> bool:
-    return distributivity_ok(B.mul.np_op, B.mul.np_inv, B.add.np_op)
+    return not distributivity_failures(B.mul.np_op, B.mul.np_inv, B.add.np_op).any()
 
 
 def is_lambda_homomorphic(B: SkewBrace) -> bool:
@@ -482,22 +471,18 @@ def canonical_pair(B: SkewBrace) -> tuple[tuple[tuple[int, ...], ...], tuple[tup
 
     The minimizers of the add component are exactly the relabelings onto the
     additive canonical form composed with its automorphisms, so only those
-    need scanning for the mul component.
+    need scanning for the mul component: all of them are applied to the mul
+    table at once, and the row-major least result is kept.
     """
+    n = B.n
     add_c, sigma0 = canonical_form(B.add)
-    auts = automorphism_group(add_c)
-    mul8 = B.mul.np_op.astype(np.uint8)
-    s0 = np.array(sigma0, dtype=np.uint8)
-    best = None
-    for alpha in auts:
-        sigma = np.array(alpha, dtype=np.uint8)[s0]
-        m = relabel(mul8, sigma).tobytes()
-        if best is None or m < best:
-            best = m
-    mul_rows = as_rows(
-        np.frombuffer(best, dtype=np.uint8).reshape(B.n, B.n).tolist()
-    )
-    return add_c.op, mul_rows
+    # sigmas[k] = alpha_k . sigma0 (old -> new), pre[k] its inverse (new -> old)
+    sigmas = np.array(automorphism_group(add_c), dtype=np.uint8)[:, list(sigma0)]
+    pre = np.argsort(sigmas, axis=1)
+    # cell (i, j) of relabeling k is sigma_k(pre_k(i) o pre_k(j))
+    old = B.mul.np_op[pre[:, :, None], pre[:, None, :]].reshape(len(sigmas), n * n)
+    best = min(map(bytes, np.take_along_axis(sigmas, old, axis=1)))
+    return add_c.op, as_rows(np.frombuffer(best, dtype=np.uint8).reshape(n, n).tolist())
 
 
 def canonical_brace(B: SkewBrace) -> SkewBrace:

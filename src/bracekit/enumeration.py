@@ -8,14 +8,14 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .braces import (
     SkewBrace,
-    canonical_pair,
-    distributivity_ok,
+    canonical_brace,
+    distributivity_failures,
     validate_skew_brace,
 )
 from .errors import BraceKitError, OrderCapExceeded, ParseError, require
@@ -241,41 +241,29 @@ class BraceCatalog:
         return [e.brace for e in self.entries]
 
 
-def _canonical_braces(raw_pairs: set) -> list[SkewBrace]:
-    keys = {canonical_pair_from_rows(add, mul) for add, mul in raw_pairs}
-    out = [
-        SkewBrace(n=len(add), add=trusted_group(add), mul=trusted_group(mul))
-        for add, mul in sorted(keys)
-    ]
-    return out
-
-
-def canonical_pair_from_rows(add_rows, mul_rows):
-    B = SkewBrace(
-        n=len(add_rows), add=trusted_group(add_rows), mul=trusted_group(mul_rows)
-    )
-    return canonical_pair(B)
+def _table_order(B: SkewBrace) -> tuple:
+    return B.add.op, B.mul.op
 
 
 def skew_braces_on(A: GroupTable, cap: Optional[int] = None) -> list[SkewBrace]:
     """All skew braces with additive group A up to brace isomorphism, via
-    regular subgroups of the holomorph of A.  Returns canonical-form braces."""
+    regular subgroups of the holomorph of A.  Returns canonical-form braces,
+    sorted by their tables."""
     _check_cap(A.n, cap)
     hol = holomorph(A)
-    raw = set()
+    out = set()
     for R in regular_subgroups(hol):
         by_zero = {hol.perms[r][0]: r for r in R}
         require(len(by_zero) == A.n, "regular subgroup does not act regularly")
         mul_rows = tuple(hol.perms[by_zero[a]] for a in range(A.n))
-        brace = validate_skew_brace(A, validate_group(mul_rows))
-        raw.add((brace.add.op, brace.mul.op))
-    return _canonical_braces(raw)
+        out.add(canonical_brace(validate_skew_brace(A, validate_group(mul_rows))))
+    return sorted(out, key=_table_order)
 
 
 def _build_catalog(
-    braces: list[SkewBrace], order: int, method: str, cap: int
+    braces: Iterable[SkewBrace], order: int, method: str, cap: int
 ) -> BraceCatalog:
-    braces = sorted(braces, key=lambda b: (b.add.op, b.mul.op))
+    braces = sorted(braces, key=_table_order)
     entries = tuple(
         CatalogEntry(id=(order, k + 1), brace=b, report=brace_report(b))
         for k, b in enumerate(braces)
@@ -299,13 +287,9 @@ def skew_braces_of_order(
     if method == "brute":
         catalog = brute_force_oracle(n, cap=cap)
     else:
-        seen: dict[tuple, SkewBrace] = {}
-        for A in groups_of_order(n, cap=cap):
-            for b in skew_braces_on(A, cap=cap):
-                seen.setdefault((b.add.op, b.mul.op), b)
-        catalog = _build_catalog(
-            list(seen.values()), n, "holomorph", resolve_cap(cap)
-        )
+        # canonical add tables differ between groups, so no brace repeats
+        braces = [B for A in groups_of_order(n, cap=cap) for B in skew_braces_on(A, cap=cap)]
+        catalog = _build_catalog(braces, n, "holomorph", resolve_cap(cap))
     _CATALOG_CACHE[key] = catalog
     return catalog
 
@@ -322,7 +306,7 @@ def brute_force_oracle(n: int, cap: Optional[int] = None, side: str = "mul") -> 
     if n > min(limit, 8):
         raise OrderCapExceeded(n, min(limit, 8))
     groups = groups_of_order(n, cap=cap)
-    raw = set()
+    raw = set()  # |Aut(M)| bijections give the same tables: canonicalise them once
     for A in groups:
         a_op, a_neg = A.np_op, A.np_inv
         for M in groups:
@@ -332,16 +316,15 @@ def brute_force_oracle(n: int, cap: Optional[int] = None, side: str = "mul") -> 
                 finv = np.argsort(f)
                 if side == "mul":
                     pulled = finv[m_op[np.ix_(f, f)]]
-                    ok = distributivity_ok(a_op, a_neg, pulled)
-                    pair = (A.op, as_rows(pulled.tolist()))
+                    if not distributivity_failures(a_op, a_neg, pulled).any():
+                        raw.add(SkewBrace(n=n, add=A, mul=trusted_group(as_rows(pulled.tolist()))))
                 else:
                     pulled = finv[a_op[np.ix_(f, f)]]
                     neg = (pulled == 0).argmax(axis=1)
-                    ok = distributivity_ok(pulled, neg, m_op)
-                    pair = (as_rows(pulled.tolist()), M.op)
-                if ok:
-                    raw.add(pair)
-    return _build_catalog(_canonical_braces(raw), n, "brute_force", limit)
+                    if not distributivity_failures(pulled, neg, m_op).any():
+                        raw.add(SkewBrace(n=n, add=trusted_group(as_rows(pulled.tolist())), mul=M))
+    braces = {canonical_brace(B) for B in raw}
+    return _build_catalog(braces, n, "brute_force", limit)
 
 
 # -- serialization -----------------------------------------------------------

@@ -8,6 +8,7 @@ to new index.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -49,9 +50,6 @@ class GroupTable:
         arr.flags.writeable = False
         return arr
 
-    def mul(self, a: int, b: int) -> int:
-        return self.op[a][b]
-
     @cached_property
     def is_abelian(self) -> bool:
         return bool((self.np_op == self.np_op.T).all())
@@ -72,15 +70,6 @@ class GroupTable:
                 k += 1
             orders.append(k)
         return tuple(orders)
-
-    def power(self, a: int, k: int) -> int:
-        x = 0
-        for _ in range(k % self.element_orders[a]):
-            x = self.op[x][a]
-        return x
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "op": [list(row) for row in self.op]}
 
 
 def as_rows(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -367,8 +356,8 @@ def isomorphisms(
 ) -> list[Bijection]:
     """All group isomorphisms G -> H, lexicographically sorted by map.
 
-    Backtracks over generator images, pruning on element-order and
-    conjugacy-class profiles.
+    Tries every injective choice of generator images of matching element
+    orders, once the element-order and conjugacy-class profiles agree.
     """
     if G.n != H.n:
         return []
@@ -382,24 +371,14 @@ def isomorphisms(
         for g in gens
     ]
     out: list[Bijection] = []
-
-    def rec(idx: int, chosen: list[int]) -> bool:
-        if idx == len(gens):
-            m = _extend_by_words(G, H, gens, chosen)
-            if m is not None:
-                out.append(m)
-                return first_only
-            return False
-        for y in cands[idx]:
-            if y in chosen:
-                continue
-            chosen.append(y)
-            if rec(idx + 1, chosen):
-                return True
-            chosen.pop()
-        return False
-
-    rec(0, [])
+    for images in itertools.product(*cands):
+        if len(set(images)) < len(images):
+            continue
+        m = _extend_by_words(G, H, gens, images)
+        if m is not None:
+            out.append(m)
+            if first_only:
+                break
     out.sort()
     return out
 
@@ -510,6 +489,7 @@ def canonical_form(G: GroupTable) -> tuple[GroupTable, Bijection]:
             label[y] = -1
 
     column(1, 1)
+    del column  # column and cell refer to each other: free both now, not at the next gc
     return trusted_group(as_rows(best)), best_sigma
 
 
@@ -608,24 +588,21 @@ class Holomorph:
 
 
 def holomorph(G: GroupTable) -> Holomorph:
+    """Hol(G) with its elements in lexicographic order of their permutations,
+    so the identity permutation is element 0."""
     n = G.n
     auts = automorphism_group(G)
-    perms = {tuple(G.op[a][phi[x]] for x in range(n)) for a in range(n) for phi in auts}
-    ident = tuple(range(n))
-    ordered = [ident] + sorted(p for p in perms if p != ident)
-    P = np.array(ordered, dtype=np.int64)
-    m = len(ordered)
-    weights = n ** np.arange(n, dtype=np.int64)
+    perms = sorted({tuple(G.op[a][phi[x]] for x in range(n)) for a in range(n) for phi in auts})
+    P = np.array(perms, dtype=np.uint64)
+    # Big-endian base-n codes rank permutations in lexicographic order, so
+    # the sorted codes map a permutation to its index; exact in uint64 to n = 16.
+    weights = np.uint64(n) ** np.arange(n - 1, -1, -1, dtype=np.uint64)
     codes = P @ weights
-    order = np.argsort(codes)
-    sorted_codes = codes[order]
-    rows = []
-    for g in range(m):
-        comp = P[g][P]  # comp[h] = P[g] o P[h]
-        cc = comp @ weights
-        rows.append(tuple(int(v) for v in order[np.searchsorted(sorted_codes, cc)]))
-    table = trusted_group(tuple(rows))
-    return Holomorph(group=table, perms=tuple(ordered), degree=n)
+    # row g, column h: the index of P[g] o P[h]
+    rows = tuple(
+        tuple(np.searchsorted(codes, P[g][P] @ weights).tolist()) for g in range(len(perms))
+    )
+    return Holomorph(group=trusted_group(rows), perms=tuple(perms), degree=n)
 
 
 def _uniform_cycle_length(perm: Sequence[int]) -> Optional[int]:
@@ -686,4 +663,5 @@ def regular_subgroups(hol: Holomorph) -> list[ElementSet]:
         results.add((0,))
     else:
         extend((0,), -1)
+    del extend  # extend refers to itself: free it and the Hol table now, not at the next gc
     return sorted(results)

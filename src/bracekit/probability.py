@@ -149,14 +149,9 @@ def bound_report(B: SkewBrace) -> BoundReport:
         add("upper-smallest-prime", False)
 
     # strict-centralizer refinement: if Ann ⊊ Cb(x) for all x, Pb >= (pd+d-p)/d^2
-    if p is not None and d > 1:
-        cb = B.centralizers.cb
-        hyp = bool(cb[:, list(ann)].all() and (np.count_nonzero(cb, axis=1) > len(ann)).all())
-        if hyp:
-            lhs = Fraction(p * d + d - p, d * d)
-            add("lower-strict-centralizers", True, lhs, pb, lhs <= pb)
-        else:
-            add("lower-strict-centralizers", False)
+    if p is not None and d > 1 and strict_centralizer_hypothesis(B):
+        lhs = Fraction(p * d + d - p, d * d)
+        add("lower-strict-centralizers", True, lhs, pb, lhs <= pb)
     else:
         add("lower-strict-centralizers", False)
 
@@ -187,6 +182,20 @@ def bound_report(B: SkewBrace) -> BoundReport:
         add("upper-trivial-annihilator", False)
 
     return BoundReport(d=d, pb=pb, verdicts=tuple(verdicts))
+
+
+def strict_centralizer_hypothesis(B: SkewBrace) -> bool:
+    """Whether Ann(B) is a proper subset of Cb(x) for every x."""
+    cb, ann = B.centralizers.cb, list(annihilator(B))
+    return bool(cb[:, ann].all() and (np.count_nonzero(cb, axis=1) > len(ann)).all())
+
+
+def has_five_eighths_shape(B: SkewBrace) -> bool:
+    """Whether [B:Ann] = 4 and |Cb(x)| = |B|/2 for every x outside Ann: the
+    characterization of Pb = 5/8."""
+    ann = annihilator(B)
+    outer = np.delete(np.count_nonzero(B.centralizers.cb, axis=1), ann)
+    return B.n // len(ann) == 4 and bool((2 * outer == B.n).all())
 
 
 def _is_elementary_abelian(B: SkewBrace) -> bool:
@@ -235,9 +244,8 @@ def gap_classify(B: SkewBrace) -> GapClass:
     require(d != 2, "[B:Ann] = 2 but Pb != 3/4")
     if pb > Fraction(5, 8):
         raise GapViolation(f"Pb = {pb} lies in (5/8, 1) \\ {{3/4}}")
-    is_5_8 = pb == Fraction(5, 8)
-    outer = np.ones(B.n, dtype=bool)
-    outer[list(ann)] = False
-    chr_5_8 = d == 4 and bool((2 * np.count_nonzero(B.centralizers.cb[outer], axis=1) == B.n).all())
-    require(is_5_8 == chr_5_8, "Pb = 5/8 disagrees with its characterization")
+    require(
+        (pb == Fraction(5, 8)) == has_five_eighths_shape(B),
+        "Pb = 5/8 disagrees with its characterization",
+    )
     return GapClass.AT_MOST_5_8

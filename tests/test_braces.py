@@ -1,5 +1,6 @@
 """Skew brace layer: validation, star maps, ideals, series, canonical forms."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,15 +31,21 @@ from bracekit.braces import (
     trivial_brace,
     validate_skew_brace,
 )
+from bracekit.enumeration import groups_of_order, skew_braces_of_order
 from bracekit.errors import BadCyclicParameter, DistributivityFails
 from bracekit.groups import (
     as_rows,
+    automorphism_group,
+    canonical_form,
     cyclic_group,
     dihedral_group,
     klein_four_group,
     quaternion_group,
     relabel,
+    validate_group,
 )
+
+BRACES = [e.brace for n in range(1, 9) for e in skew_braces_of_order(n).entries]
 
 
 def test_validate_rejects_distributivity_failure():
@@ -53,6 +60,38 @@ def test_validate_rejects_twisted_cyclic():
     twisted = as_rows(relabel(z4.np_op, [0, 2, 1, 3]).tolist())
     with pytest.raises(DistributivityFails):
         validate_skew_brace(z4.op, twisted)
+
+
+def _first_distributivity_failure_reference(add, mul):
+    """The triple loop that once named the failing triple: the first
+    (a, b, c) with a o (b + c) != (a o b) - a + (a o c), or None."""
+    for a in range(add.n):
+        for b in range(add.n):
+            for c in range(add.n):
+                left = mul.op[a][add.op[b][c]]
+                right = add.op[add.op[mul.op[a][b]][add.inv[a]]][mul.op[a][c]]
+                if left != right:
+                    return (a, b, c)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_distributivity_fault_matches_triple_loop(data):
+    n = data.draw(st.integers(1, 8))
+    tables = []
+    for _ in range(2):
+        G = data.draw(st.sampled_from(groups_of_order(n)))
+        sigma = [0] + data.draw(st.permutations(range(1, n)))
+        tables.append(validate_group(relabel(G.np_op, sigma).tolist()))
+    A, M = tables
+    expected = _first_distributivity_failure_reference(A, M)
+    if expected is None:
+        validate_skew_brace(A, M)
+    else:
+        with pytest.raises(DistributivityFails) as exc:
+            validate_skew_brace(A, M)
+        assert exc.value.triple == expected
 
 
 def test_trivial_brace_star_vanishes():
@@ -191,6 +230,33 @@ def test_canonical_pair_relabeling_invariant_order_8(tail):
     mul = as_rows(relabel(B.mul.np_op, sigma).tolist())
     C = validate_skew_brace(add, mul)
     assert canonical_pair(B) == canonical_pair(C)
+
+
+def _canonical_pair_reference(B):
+    """The per-automorphism loop canonical_pair replaced."""
+    add_c, sigma0 = canonical_form(B.add)
+    mul8 = B.mul.np_op.astype(np.uint8)
+    s0 = np.array(sigma0, dtype=np.uint8)
+    best = None
+    for alpha in automorphism_group(add_c):
+        sigma = np.array(alpha, dtype=np.uint8)[s0]
+        m = relabel(mul8, sigma).tobytes()
+        if best is None or m < best:
+            best = m
+    return add_c.op, as_rows(np.frombuffer(best, dtype=np.uint8).reshape(B.n, B.n).tolist())
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_canonical_pair_matches_per_automorphism_reference(data):
+    assert len(BRACES) == 62
+    for B in BRACES:
+        sigma = [0] + data.draw(st.permutations(range(1, B.n)))
+        C = validate_skew_brace(
+            relabel(B.add.np_op, sigma).tolist(), relabel(B.mul.np_op, sigma).tolist()
+        )
+        # catalog braces are already canonical
+        assert canonical_pair(C) == _canonical_pair_reference(C) == (B.add.op, B.mul.op)
 
 
 def test_structure_flags_of_known_braces():

@@ -1,5 +1,6 @@
 """Group table layer: validation, invariants, isomorphism, holomorphs."""
 
+import gc
 import itertools
 from fractions import Fraction
 
@@ -215,6 +216,41 @@ def test_regular_subgroups_are_regular():
         assert len(R) == 6
         # transitive on points and free: images of 0 all distinct
         assert len({hol.perms[r][0] for r in R}) == 6
+
+
+@pytest.mark.parametrize(
+    "G",
+    [G for n in range(1, 9) for G in groups_of_order(n) if G.n * len(automorphism_group(G)) <= 200],
+)
+def test_holomorph_table_composes_sorted_permutations(G):
+    hol = holomorph(G)
+    assert list(hol.perms) == sorted(set(hol.perms))
+    assert hol.perms[0] == tuple(range(G.n))
+    index = {p: i for i, p in enumerate(hol.perms)}
+    for g, row in enumerate(hol.group.op):
+        assert row == tuple(index[tuple(hol.perms[g][x] for x in p)] for p in hol.perms)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        holomorph,
+        lambda G: regular_subgroups(holomorph(G)),
+        lambda G: canonical_form.__wrapped__(G),  # past the cache
+        lambda G: isomorphisms(G, G),
+    ],
+    ids=["holomorph", "regular_subgroups", "canonical_form", "isomorphisms"],
+)
+def test_searches_leave_no_reference_cycles(search):
+    G = dihedral_group(5)
+    search(G)  # fill the caches the search reads
+    gc.collect()
+    gc.disable()
+    try:
+        search(G)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_direct_product_group_shape():

@@ -1,4 +1,5 @@
-"""Package layout: modules share helpers through public names only."""
+"""Package layout: modules share helpers through public names only, and no
+check in the package is an assert, which python -O strips."""
 
 import ast
 from pathlib import Path
@@ -21,4 +22,14 @@ def test_no_private_cross_module_imports():
                 for alias in node.names
                 if alias.name.startswith("_")
             ]
+    assert not found, found
+
+
+def test_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
     assert not found, found

@@ -3,8 +3,9 @@
 The references below are those routines, computed element by element from
 the Cayley tables: the exhaustive centralizer suite, the pair-count
 probability, the centre as an intersection of centralizers, the annihilator
-from the kernel of lambda and both centres, and the ann and gamma steps of the
-series.  Further tests corrupt one cell of a cached table and check that the
+from the kernel of lambda and both centres, the ann and gamma steps of the
+series, and the per-element loops that tested the 5/8 shape and the
+strict-centralizer hypothesis.  Further tests corrupt one cell of a cached table and check that the
 cross-checks of the layer see it, also under ``python -O``, and that no result
 depends on which invariant a caller asks for first.
 """
@@ -39,6 +40,8 @@ from bracekit.probability import (
     centralizer_suite,
     commuting_probability,
     gap_classify,
+    has_five_eighths_shape,
+    strict_centralizer_hypothesis,
 )
 from bracekit.report import brace_report
 
@@ -167,12 +170,18 @@ def _relabelled_cyclic(n, d, rest):
 
 
 def _assert_layer_matches_references(B):
+    suites = [_centralizer_suite_reference(B, x) for x in range(B.n)]
     for x in range(B.n):
-        assert centralizer_suite(B, x) == _centralizer_suite_reference(B, x)
+        assert centralizer_suite(B, x) == suites[x]
     assert commuting_probability(B) == _commuting_probability_reference(B)
     assert center(B.add) == _center_reference(B.add)
     assert center(B.mul) == _center_reference(B.mul)
     assert socle_and_annihilator(B) == _socle_and_annihilator_reference(B)
+    ann = set(_socle_and_annihilator_reference(B)[2])
+    assert strict_centralizer_hypothesis(B) == all(ann < set(s.cb) for s in suites)
+    assert has_five_eighths_shape(B) == (
+        B.n // len(ann) == 4 and all(2 * len(s.cb) == B.n for s in suites if s.x not in ann)
+    )
     for kind in ("ann", "gamma"):
         assert series(B, kind) == _series_reference(B, kind)
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracekit
+from bracekit import verify
 from bracekit.braces import cyclic_brace
 from bracekit.cli import main
 from bracekit.enumeration import skew_braces_of_order
@@ -61,6 +63,13 @@ def test_theorem_selection_and_unknown_name():
 def test_scope_limited_note_on_65_128():
     (v,) = run_theorems(_entries(1, 4), "orders 1..4", ["nilpotent-65/128"])
     assert any("scope-limited" in note for note in v.notes)
+
+
+def test_check_gap_compares_values(monkeypatch):
+    monkeypatch.setattr(verify, "commuting_probability", lambda B: Fraction(7, 10))
+    (v,) = run_theorems([((4, 2), cyclic_brace(4, 2))], "orders 4..4", ["gap-5/8"])
+    assert v.status == "fail"
+    assert v.violations == (((4, 2), "Pb = 7/10 lies outside {1, 3/4} and (0, 5/8]"),)
 
 
 def test_open_question_observations():
