@@ -477,12 +477,13 @@ def canonical_pair(B: SkewBrace) -> tuple[tuple[tuple[int, ...], ...], tuple[tup
     n = B.n
     add_c, sigma0 = canonical_form(B.add)
     # sigmas[k] = alpha_k . sigma0 (old -> new), pre[k] its inverse (new -> old)
-    sigmas = np.array(automorphism_group(add_c), dtype=np.uint8)[:, list(sigma0)]
+    sigmas = np.array(automorphism_group(add_c))[:, list(sigma0)]
     pre = np.argsort(sigmas, axis=1)
     # cell (i, j) of relabeling k is sigma_k(pre_k(i) o pre_k(j))
     old = B.mul.np_op[pre[:, :, None], pre[:, None, :]].reshape(len(sigmas), n * n)
-    best = min(map(bytes, np.take_along_axis(sigmas, old, axis=1)))
-    return add_c.op, as_rows(np.frombuffer(best, dtype=np.uint8).reshape(n, n).tolist())
+    new = np.take_along_axis(sigmas, old, axis=1)
+    best = new[np.lexsort(new.T[::-1])[0]]  # the lexicographically least row
+    return add_c.op, as_rows(best.reshape(n, n).tolist())
 
 
 def canonical_brace(B: SkewBrace) -> SkewBrace:

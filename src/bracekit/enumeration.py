@@ -241,10 +241,6 @@ class BraceCatalog:
         return [e.brace for e in self.entries]
 
 
-def _table_order(B: SkewBrace) -> tuple:
-    return B.add.op, B.mul.op
-
-
 def skew_braces_on(A: GroupTable, cap: Optional[int] = None) -> list[SkewBrace]:
     """All skew braces with additive group A up to brace isomorphism, via
     regular subgroups of the holomorph of A.  Returns canonical-form braces,
@@ -257,13 +253,13 @@ def skew_braces_on(A: GroupTable, cap: Optional[int] = None) -> list[SkewBrace]:
         require(len(by_zero) == A.n, "regular subgroup does not act regularly")
         mul_rows = tuple(hol.perms[by_zero[a]] for a in range(A.n))
         out.add(canonical_brace(validate_skew_brace(A, validate_group(mul_rows))))
-    return sorted(out, key=_table_order)
+    return sorted(out, key=lambda B: B.mul.op)
 
 
 def _build_catalog(
     braces: Iterable[SkewBrace], order: int, method: str, cap: int
 ) -> BraceCatalog:
-    braces = sorted(braces, key=_table_order)
+    braces = sorted(braces, key=lambda b: (b.add.op, b.mul.op))
     entries = tuple(
         CatalogEntry(id=(order, k + 1), brace=b, report=brace_report(b))
         for k, b in enumerate(braces)

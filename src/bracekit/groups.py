@@ -593,16 +593,22 @@ def holomorph(G: GroupTable) -> Holomorph:
     n = G.n
     auts = automorphism_group(G)
     perms = sorted({tuple(G.op[a][phi[x]] for x in range(n)) for a in range(n) for phi in auts})
-    P = np.array(perms, dtype=np.uint64)
-    # Big-endian base-n codes rank permutations in lexicographic order, so
-    # the sorted codes map a permutation to its index; exact in uint64 to n = 16.
-    weights = np.uint64(n) ** np.arange(n - 1, -1, -1, dtype=np.uint64)
-    codes = P @ weights
+    P = np.array(perms)
+    be = P.astype(">u4")
+    keys = _lex_keys(be)
     # row g, column h: the index of P[g] o P[h]
     rows = tuple(
-        tuple(np.searchsorted(codes, P[g][P] @ weights).tolist()) for g in range(len(perms))
+        tuple(np.searchsorted(keys, _lex_keys(be[g][P])).tolist()) for g in range(len(perms))
     )
     return Holomorph(group=trusted_group(rows), perms=tuple(perms), degree=n)
+
+
+def _lex_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row of a 2-D array of integers in [0, 2^32), with
+    the keys ordered as the rows are lexicographically: the rows' big-endian
+    unsigned bytes, compared bytewise."""
+    be = np.ascontiguousarray(rows, dtype=">u4")
+    return be.view(np.dtype((np.void, 4 * be.shape[1])))[:, 0]
 
 
 def _uniform_cycle_length(perm: Sequence[int]) -> Optional[int]:

@@ -190,12 +190,15 @@ def strict_centralizer_hypothesis(B: SkewBrace) -> bool:
     return bool(cb[:, ann].all() and (np.count_nonzero(cb, axis=1) > len(ann)).all())
 
 
+def outer_centralizer_sizes(B: SkewBrace) -> np.ndarray:
+    """|Cb(x)| for every x outside Ann(B), in element order."""
+    return np.delete(np.count_nonzero(B.centralizers.cb, axis=1), annihilator(B))
+
+
 def has_five_eighths_shape(B: SkewBrace) -> bool:
     """Whether [B:Ann] = 4 and |Cb(x)| = |B|/2 for every x outside Ann: the
     characterization of Pb = 5/8."""
-    ann = annihilator(B)
-    outer = np.delete(np.count_nonzero(B.centralizers.cb, axis=1), ann)
-    return B.n // len(ann) == 4 and bool((2 * outer == B.n).all())
+    return B.n // len(annihilator(B)) == 4 and bool((2 * outer_centralizer_sizes(B) == B.n).all())
 
 
 def _is_elementary_abelian(B: SkewBrace) -> bool:

@@ -7,8 +7,6 @@ from fractions import Fraction
 from math import prod
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .braces import (
     SkewBrace,
     annihilator,
@@ -28,6 +26,7 @@ from .probability import (
     commuting_probability,
     cyclic_gcd_formula,
     has_five_eighths_shape,
+    outer_centralizer_sizes,
     strict_centralizer_hypothesis,
 )
 
@@ -130,11 +129,9 @@ def check_bounds(entries: CatalogEntries, scope: str) -> TheoremVerdict:
                 violations.append((cid, f"{v.name}: {_frac(v.lhs)} vs {_frac(v.rhs)}"))
             if v.name == "lower-strict-centralizers" and v.applicable:
                 strict_hyp += 1
-        ann = annihilator(B)
-        if len(ann) < B.n:
-            best = int(np.delete(np.count_nonzero(B.centralizers.cb, axis=1), ann).max())
-            if not rep.pb < Fraction(2 * best, B.n):
-                violations.append((cid, "Pb < 2|Cb(x)|/|B| fails at the maximum"))
+        outer = outer_centralizer_sizes(B)
+        if len(outer) and not rep.pb < Fraction(2 * int(outer.max()), B.n):
+            violations.append((cid, "Pb < 2|Cb(x)|/|B| fails at the maximum"))
     notes = (f"strict-centralizer hypothesis held for {strict_hyp} braces",)
     return _verdict("bounds", scope, len(entries), violations, notes)
 

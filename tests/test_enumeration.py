@@ -81,6 +81,13 @@ def test_skew_braces_on_small_groups():
     assert len(skew_braces_on(klein_four_group())) == 2
 
 
+@pytest.mark.parametrize("p", [17, 19, 23])
+def test_prime_order_above_16_has_only_the_trivial_brace(p):
+    # Hol(Z_p) has a unique Sylow p-subgroup, so Z_p carries one skew brace
+    (entry,) = skew_braces_of_order(p, cap=p).entries
+    assert entry.brace.add.op == entry.brace.mul.op == cyclic_group(p).op
+
+
 def test_brace_counts():
     assert [len(skew_braces_of_order(n).entries) for n in range(1, 9)] == BRACE_COUNTS
 

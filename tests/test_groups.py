@@ -231,6 +231,15 @@ def test_holomorph_table_composes_sorted_permutations(G):
         assert row == tuple(index[tuple(hol.perms[g][x] for x in p)] for p in hol.perms)
 
 
+def test_holomorph_table_is_exact_past_degree_16():
+    # Hol(Z17) has 272 elements; base-17 codes of its permutations exceed 2^64
+    hol = holomorph(cyclic_group(17))
+    assert hol.group.n == 17 * 16
+    index = {p: i for i, p in enumerate(hol.perms)}
+    for g, row in enumerate(hol.group.op):
+        assert row == tuple(index[tuple(hol.perms[g][x] for x in p)] for p in hol.perms)
+
+
 @pytest.mark.parametrize(
     "search",
     [
