@@ -198,8 +198,6 @@ def all_group_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
             row_free[a].add(v)
             col_free[b].add(v)
 
-    results: list[tuple[tuple[int, ...], ...]] = []
-
     def search(trail: list) -> Iterator[tuple[tuple[int, ...], ...]]:
         target = next(((i, j) for (i, j) in cells if op[i][j] == -1), None)
         if target is None:

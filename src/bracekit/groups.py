@@ -79,8 +79,8 @@ def as_rows(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 def trusted_group(op: tuple[tuple[int, ...], ...]) -> GroupTable:
     """Build a GroupTable from a table known to be a group (skips the n^3 check).
 
-    Used for tables that are groups by construction, e.g. holomorphs, whose
-    order makes the exhaustive associativity scan prohibitive.
+    Used for tables that are groups by construction, e.g. relabelings of a
+    validated group, where the n^3 associativity scan would only repeat work.
     """
     n = len(op)
     inv = [0] * n
@@ -201,13 +201,13 @@ def closure(
     """Smallest set containing 0 and S that is closed under every table and
     every action, as a sorted tuple; None once it exceeds cap elements.
 
-    A table is a Cayley table with identity 0; closure under it adds the
-    products of members in both orders.  In a finite group that is the
-    generated subgroup, since inverses are positive powers.  An action lists
-    in row x the elements that must join whenever x does, e.g. its
-    conjugates.  Worklist fixpoint: each new member is combined once with
-    every member present when it is taken up, and later members are combined
-    with it in turn.
+    A table is a square table with identity 0, not necessarily a group;
+    closure under it adds the products of members in both orders.  In a
+    finite group that is the generated subgroup, since inverses are positive
+    powers.  An action lists in row x the elements that must join whenever
+    x does, e.g. its conjugates.  Worklist fixpoint: each new member is
+    combined once with every member present when it is taken up, and later
+    members are combined with it in turn.
     """
     n = len((tables or actions)[0])
     limit = n if cap is None else cap
@@ -324,8 +324,6 @@ def _extend_by_words(
         if g in img and img[g] != im:
             return None
         img[g] = im
-    known = list(img)
-    i = 0
     while len(img) < G.n:
         progressed = False
         known = list(img)
@@ -341,7 +339,6 @@ def _extend_by_words(
                     progressed = True
         if not progressed:
             return None
-        i += 1
     mapped = tuple(img[x] for x in range(G.n))
     if len(set(mapped)) != G.n:
         return None
@@ -580,35 +577,18 @@ def quaternion_group() -> GroupTable:
 
 @dataclass(frozen=True)
 class Holomorph:
-    """Hol(G) = G x Aut(G) acting faithfully on 0..G.n-1 as x -> a + phi(x)."""
+    """Hol(G) = G x Aut(G) acting faithfully on 0..G.n-1 as x -> a + phi(x),
+    as its permutations in lexicographic order, so the identity is element 0."""
 
     group: GroupTable
     perms: tuple[tuple[int, ...], ...]
-    degree: int
 
 
 def holomorph(G: GroupTable) -> Holomorph:
-    """Hol(G) with its elements in lexicographic order of their permutations,
-    so the identity permutation is element 0."""
     n = G.n
     auts = automorphism_group(G)
     perms = sorted({tuple(G.op[a][phi[x]] for x in range(n)) for a in range(n) for phi in auts})
-    P = np.array(perms)
-    be = P.astype(">u4")
-    keys = _lex_keys(be)
-    # row g, column h: the index of P[g] o P[h]
-    rows = tuple(
-        tuple(np.searchsorted(keys, _lex_keys(be[g][P])).tolist()) for g in range(len(perms))
-    )
-    return Holomorph(group=trusted_group(rows), perms=tuple(perms), degree=n)
-
-
-def _lex_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row of a 2-D array of integers in [0, 2^32), with
-    the keys ordered as the rows are lexicographically: the rows' big-endian
-    unsigned bytes, compared bytewise."""
-    be = np.ascontiguousarray(rows, dtype=">u4")
-    return be.view(np.dtype((np.void, 4 * be.shape[1])))[:, 0]
+    return Holomorph(group=G, perms=tuple(perms))
 
 
 def _uniform_cycle_length(perm: Sequence[int]) -> Optional[int]:
@@ -634,30 +614,38 @@ def _uniform_cycle_length(perm: Sequence[int]) -> Optional[int]:
 
 
 def regular_subgroups(hol: Holomorph) -> list[ElementSet]:
-    """All order-n subgroups of Hol acting regularly on 0..n-1.
+    """All order-n subgroups of Hol acting regularly on 0..n-1, as sorted
+    tuples of indices into hol.perms.
 
     Only fixed-point-free elements with uniform cycle length dividing n can
     sit in a semiregular subgroup, which prunes the generator search hard; a
-    semiregular subgroup of full order n is automatically transitive.
+    semiregular subgroup of full order n is automatically transitive.  The
+    search composes only these candidates, in a table over the identity, the
+    candidates and one absorbing sink label for every other product: a
+    closure that reaches the sink holds a non-candidate and is rejected.
     """
-    n = hol.degree
-    table = hol.group
-    candidates = [
+    n = hol.group.n
+    index = [0] + [
         g
-        for g in range(1, table.n)
+        for g in range(1, len(hol.perms))
         if (L := _uniform_cycle_length(hol.perms[g])) is not None and n % L == 0
     ]
-    cand_set = set(candidates)
+    C = np.array([hol.perms[g] for g in index])
+    sink = len(index)
+    slot = {c.tobytes(): s for s, c in enumerate(C)}
+    # row a, column b: the slot of C[a] o C[b], or the sink
+    table = [[slot.get(p.tobytes(), sink) for p in C[a][C]] + [sink] for a in range(sink)]
+    table.append([sink] * (sink + 1))
     results: set[ElementSet] = set()
     seen: set[ElementSet] = set()
-    tables = (table.op,)
 
     def extend(S: ElementSet, last: int) -> None:
-        for g in candidates:
-            if g <= last or g in S:
+        for g in range(last + 1, sink):
+            # the closure holds every g o s with s in S: one sink rejects g at once
+            if g in S or any(table[g][s] == sink for s in S):
                 continue
-            T = closure(tables, S + (g,), cap=n)
-            if T is None or not cand_set.issuperset(T[1:]) or T in seen:
+            T = closure((table,), S + (g,), cap=n)
+            if T is None or sink in T or T in seen:
                 continue
             seen.add(T)
             if len(T) == n:
@@ -668,6 +656,6 @@ def regular_subgroups(hol: Holomorph) -> list[ElementSet]:
     if n == 1:
         results.add((0,))
     else:
-        extend((0,), -1)
-    del extend  # extend refers to itself: free it and the Hol table now, not at the next gc
-    return sorted(results)
+        extend((0,), 0)
+    del extend  # extend refers to itself: free it and the table now, not at the next gc
+    return sorted(tuple(index[s] for s in T) for T in results)

@@ -143,8 +143,15 @@ def test_manifest_hash_matches_body():
     )
 
 
+def test_order_8_catalog_bytes_are_pinned():
+    assert (
+        catalog_manifest(skew_braces_of_order(8))["sha256"]
+        == "7d1aaf8659e2d890a8a27621413f6613360b8f1be1b8caa3ed2306ffb369f2d7"
+    )
+
+
 def test_reach_to_order_12():
-    # published skew brace counts; orders 9 and 10 keep their catalog bytes
+    # published skew brace counts; orders 9, 10 and 12 keep their catalog bytes
     assert [len(groups_of_order(n, cap=12)) for n in range(9, 13)] == [2, 2, 1, 5]
     catalogs = {n: skew_braces_of_order(n, cap=12) for n in range(9, 13)}
     assert [len(catalogs[n].entries) for n in range(9, 13)] == [4, 6, 1, 38]
@@ -155,6 +162,10 @@ def test_reach_to_order_12():
     assert (
         catalog_manifest(catalogs[10])["sha256"]
         == "001586cf4bd3e5c204ee449abbd9c795081a5350ac42d1348cacc6dca414cdf8"
+    )
+    assert (
+        catalog_manifest(catalogs[12])["sha256"]
+        == "7d6e6b0cf5a6211df320c0b5fc07064d347606c25707c0e3c6d27e367c004ed6"
     )
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,11 +13,14 @@ from hypothesis import strategies as st
 from bracekit.enumeration import groups_of_order
 from bracekit.errors import IdentityNotZero, NotAssociative, NotLatinSquare
 from bracekit.groups import (
+    _automorphisms_cached,
+    _uniform_cycle_length,
     as_rows,
     automorphism_group,
     canonical_form,
     center,
     centralizer,
+    closure,
     commutator_subgroup,
     conjugacy_class_sizes,
     cyclic_group,
@@ -200,13 +204,13 @@ def test_canonical_witness_recovers_canonical_table():
 def test_holomorph_orders_and_regular_subgroups():
     k4 = klein_four_group()
     hol = holomorph(k4)
-    assert hol.degree == 4
-    assert hol.group.n == 24
+    assert hol.group is k4
+    assert len(hol.perms) == 24
     assert len(regular_subgroups(hol)) == 4
 
     z4 = cyclic_group(4)
     hol4 = holomorph(z4)
-    assert hol4.group.n == 8
+    assert len(hol4.perms) == 8
     assert len(regular_subgroups(hol4)) == 2
 
 
@@ -221,16 +225,86 @@ def test_regular_subgroups_are_regular():
 @pytest.mark.parametrize(
     "G",
     [G for n in range(1, 9) for G in groups_of_order(n) if G.n * len(automorphism_group(G)) <= 200]
-    # Hol(Z17): base-17 integer codes of its permutations would exceed 2^64
     + [cyclic_group(17)],
 )
 def test_holomorph_table_composes_sorted_permutations(G):
     hol = holomorph(G)
     assert list(hol.perms) == sorted(set(hol.perms))
     assert hol.perms[0] == tuple(range(G.n))
-    index = {p: i for i, p in enumerate(hol.perms)}
-    for g, row in enumerate(hol.group.op):
-        assert row == tuple(index[tuple(hol.perms[g][x] for x in p)] for p in hol.perms)
+    perms = set(hol.perms)
+    assert all(tuple(g[x] for x in h) in perms for g in hol.perms for h in hol.perms)
+
+
+def _regular_subgroups_reference(G):
+    """The search regular_subgroups replaced: the full Cayley table of Hol(G)
+    on its sorted permutations, with compositions found by np.searchsorted on
+    the permutations' big-endian bytes, and candidate sets closed in it."""
+    n = G.n
+    auts = automorphism_group(G)
+    perms = sorted({tuple(G.op[a][phi[x]] for x in range(n)) for a in range(n) for phi in auts})
+    P = np.array(perms)
+    be = np.ascontiguousarray(P, dtype=">u4")
+    void = np.dtype((np.void, 4 * n))
+    keys = be.view(void)[:, 0]
+    op = tuple(
+        tuple(np.searchsorted(keys, np.ascontiguousarray(be[g][P]).view(void)[:, 0]).tolist())
+        for g in range(len(perms))
+    )
+    candidates = [
+        g
+        for g in range(1, len(perms))
+        if (L := _uniform_cycle_length(perms[g])) is not None and n % L == 0
+    ]
+    cand_set = set(candidates)
+    results, seen = set(), set()
+
+    def extend(S, last):
+        for g in candidates:
+            if g <= last or g in S:
+                continue
+            T = closure((op,), S + (g,), cap=n)
+            if T is None or not cand_set.issuperset(T[1:]) or T in seen:
+                continue
+            seen.add(T)
+            if len(T) == n:
+                results.add(T)
+            elif n % len(T) == 0:
+                extend(T, g)
+
+    if n == 1:
+        results.add((0,))
+    else:
+        extend((0,), -1)
+    return sorted(results)
+
+
+HOLOMORPH_GROUPS = [
+    (n, i)
+    for n, count in enumerate([1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5], start=1)
+    for i in range(count)
+] + [(17, 0)]
+
+
+@pytest.mark.parametrize("n,index", HOLOMORPH_GROUPS)
+def test_regular_subgroups_match_table_reference(n, index):
+    G = groups_of_order(n, cap=17)[index]
+    assert regular_subgroups(holomorph(G)) == _regular_subgroups_reference(G)
+
+
+def test_regular_subgroups_memory_stays_small():
+    # Hol(Z2^3) has 1344 elements: its full Cayley table held 58.7 MiB
+    G = direct_product_group(klein_four_group(), cyclic_group(2))
+    _automorphisms_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        hol = holomorph(G)
+        found = regular_subgroups(hol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(hol.perms) == 1344
+    assert len(found) == 232
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize(
