@@ -132,11 +132,18 @@ def _centralizers(B: SkewBrace) -> Centralizers:
     return Centralizers(*masks, pb=Fraction(pairs, B.n * B.n))
 
 
-def distributivity_failures(add: np.ndarray, neg: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    """Boolean mask, True at [a, b, c] where a o (b + c) != (a o b) - a + (a o c)."""
-    lhs = mul[:, add]  # lhs[a,b,c] = a o (b + c)
+def distributivity_failures(
+    add: np.ndarray, neg: np.ndarray, mul: np.ndarray, cs: Sequence[int] | slice = slice(None)
+) -> np.ndarray:
+    """Boolean mask, True at [a, b, k] where a o (b + c) != (a o b) - a + (a o c)
+    for c = cs[k]; every c by default.
+
+    For each a the law says that x -> -a + (a o x) is additive, so c need
+    only run over a generating sequence of (B, +) to decide it.
+    """
+    lhs = mul[:, add[:, cs]]  # lhs[a,b,k] = a o (b + c)
     t1 = add[mul, neg[:, None]]  # (a o b) - a
-    rhs = add[t1[:, :, None], mul[:, None, :]]
+    rhs = add[t1[:, :, None], mul[:, None, cs]]
     return lhs != rhs
 
 
@@ -144,14 +151,15 @@ def validate_skew_brace(
     add_table: Sequence[Sequence[int]] | GroupTable,
     mul_table: Sequence[Sequence[int]] | GroupTable,
 ) -> SkewBrace:
-    """Validate both groups and skew left distributivity over all triples;
-    DistributivityFails names the first failing (a, b, c) in row-major order."""
+    """Validate both groups and skew left distributivity, with c over the
+    additive generators; on failure DistributivityFails names the first
+    failing (a, b, c) over all triples in row-major order."""
     add = add_table if isinstance(add_table, GroupTable) else validate_group(add_table)
     mul = mul_table if isinstance(mul_table, GroupTable) else validate_group(mul_table)
     if add.n != mul.n:
         raise IdentityMismatch(f"orders differ: {add.n} vs {mul.n}")
-    fails = distributivity_failures(add.np_op, add.np_inv, mul.np_op)
-    if fails.any():
+    if distributivity_failures(add.np_op, add.np_inv, mul.np_op, list(add.generators)).any():
+        fails = distributivity_failures(add.np_op, add.np_inv, mul.np_op)
         a, b, c = np.argwhere(fails)[0].tolist()
         raise DistributivityFails(a, b, c)
     B = SkewBrace(n=add.n, add=add, mul=mul)
@@ -162,12 +170,33 @@ def validate_skew_brace(
 def _assert_lambda_laws(B: SkewBrace) -> None:
     """lam_a is an additive automorphism; a -> lam_a is multiplicative-side
     homomorphic; a o b = a + lam_a(b).  These follow from the axioms, so a
-    failure means a construction bug."""
+    failure means a construction bug.
+
+    Given the first law (so lam_0 = id) and bijective rows fixing 0, the
+    other two hold for all arguments once they hold with c over the additive
+    and b over the multiplicative generators: the c with lam_a(b + c) =
+    lam_a(b) + lam_a(c) for all b, and the b with lam_(a o b) = lam_a lam_b
+    for all a, contain 0 and are closed under the group operation.  Only a
+    failure, or entries out of range, runs the per-row loop that names it.
+    """
     L, add, mul = B.lambdas, B.add.np_op, B.mul.np_op
-    require((mul == add[np.arange(B.n)[:, None], L]).all(), "a o b != a + lam_a(b)")
-    for a in range(B.n):
+    n = B.n
+    ids = np.arange(n)
+    require((mul == add[ids[:, None], L]).all(), "a o b != a + lam_a(b)")
+    if ((L >= 0) & (L < n)).all():
+        hit = np.zeros((n, n), dtype=bool)
+        hit[ids[:, None], L] = True  # row a marks the values of lam_a
+        cs, bs = list(B.add.generators), list(B.mul.generators)
+        if (
+            hit.all()
+            and (L[:, 0] == 0).all()
+            and (L[:, add[:, cs]] == add[L[:, :, None], L[:, None, cs]]).all()
+            and (L[mul[:, bs]] == L[:, L[bs]]).all()
+        ):
+            return
+    for a in range(n):
         la = L[a]
-        require(len(set(la.tolist())) == B.n and la[0] == 0, "lam_a is not bijective or moves 0")
+        require(len(set(la.tolist())) == n and la[0] == 0, "lam_a is not bijective or moves 0")
         require((la[add] == add[la[:, None], la[None, :]]).all(), "lam_a is not additive")
         require((L[mul[a]] == la[L]).all(), "lam_(a o b) != lam_a . lam_b")
 
@@ -253,25 +282,29 @@ class StructureFlags:
 
 
 def is_two_sided(B: SkewBrace) -> bool:
-    """(b + c) o a = (b o a) - a + (c o a) for all triples."""
+    """(b + c) o a = (b o a) - a + (c o a) for all triples.  For each a this
+    says x -> (x o a) - a is additive, so c runs over the additive generators."""
     add, neg, mul = B.add.np_op, B.add.np_inv, B.mul.np_op
-    lhs = mul[add[:, :, None], np.arange(B.n)[None, None, :]]  # lhs[b,c,a] = (b+c) o a
+    cs = list(B.add.generators)
+    lhs = mul[add[:, cs]]  # lhs[b,k,a] = (b + c) o a
     t1 = add[mul, neg[None, :]]  # t1[b,a] = (b o a) - a
-    rhs = add[t1[:, None, :], mul[None, :, :]]  # rhs[b,c,a] = t1[b,a] + (c o a)
+    rhs = add[t1[:, None, :], mul[None, cs]]  # rhs[b,k,a] = t1[b,a] + (c o a)
     return bool((lhs == rhs).all())
 
 
 def is_symmetric(B: SkewBrace) -> bool:
-    return not distributivity_failures(B.mul.np_op, B.mul.np_inv, B.add.np_op).any()
+    """Skew left distributivity with the roles of + and o swapped."""
+    cs = list(B.mul.generators)
+    return not distributivity_failures(B.mul.np_op, B.mul.np_inv, B.add.np_op, cs).any()
 
 
 def is_lambda_homomorphic(B: SkewBrace) -> bool:
-    """lam_{a+b} = lam_a . lam_b for all pairs."""
+    """lam_{a+b} = lam_a . lam_b for all pairs.  The b where this holds for
+    every a contain 0 and are closed under +, so b runs over the additive
+    generators."""
     L, add = B.lambdas, B.add.np_op
-    for a in range(B.n):
-        if not (L[add[a]] == L[a][L]).all():
-            return False
-    return True
+    bs = list(B.add.generators)
+    return bool((L[add[:, bs]] == L[:, L[bs]]).all())
 
 
 def structure_flags(B: SkewBrace) -> StructureFlags:

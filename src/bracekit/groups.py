@@ -61,6 +61,10 @@ class GroupTable:
         return tuple(map(tuple, op[op.T, self.np_inv[None, :]].tolist()))
 
     @cached_property
+    def generators(self) -> ElementSet:
+        return generators(self.op)
+
+    @cached_property
     def element_orders(self) -> tuple[int, ...]:
         orders = []
         for a in range(self.n):
@@ -95,6 +99,60 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupTable:
     Raises IdentityNotZero, NotLatinSquare or NotAssociative naming the first
     violating cell or triple.
     """
+    op, arr = _square_rows(table)
+    gens = None if arr is None else _group_generators(op, arr)
+    if gens is None:
+        _raise_first_table_fault(op)
+        bad = np.argwhere(arr[arr] != arr[:, arr])  # (xy)z != x(yz) at [x, y, z]
+        require(len(bad) > 0, "group tests and table scans disagree")
+        raise NotAssociative(*map(int, bad[0]))
+    G = trusted_group(op)
+    arr.flags.writeable = False
+    G.__dict__.update(np_op=arr, generators=gens)  # the cached properties, already at hand
+    return G
+
+
+def _group_generators(op: tuple[tuple[int, ...], ...], arr: np.ndarray) -> Optional[ElementSet]:
+    """generators(op) if the table is a group, else None.
+
+    Tests that every cell is in range, row 0 and column 0 are the identity,
+    every row is a permutation, and Light's test with z over the generating
+    sequence S: the z with (xy)z = x(yz) for all x, y include 0 and are
+    closed under products, so they are everything once they hold S.  The
+    columns need no test: an associative table with identity whose rows are
+    permutations has inverses, so it is a group.  A failure costs the
+    caller the scans and the n^3 comparison that name the first fault.
+    """
+    n = len(arr)
+    ids = np.arange(n)
+    if not ((arr >= 0) & (arr < n)).all():
+        return None
+    in_row = np.zeros((n, n), dtype=bool)
+    in_row[ids[:, None], arr] = True  # the value of cell (i, j) occurs in row i
+    if not (in_row.all() and (arr[0] == ids).all() and (arr[:, 0] == ids).all()):
+        return None
+    gens = generators(op)
+    C = arr[:, list(gens)]  # C[y, k] = y s_k
+    return gens if (C[arr] == np.take(arr, C, axis=1)).all() else None
+
+
+def _square_rows(
+    table: Sequence[Sequence[int]],
+) -> tuple[tuple[tuple[int, ...], ...], Optional[np.ndarray]]:
+    """The table as rows of ints and as an int64 array, None where some entry
+    does not fit; raises for an empty or a non-square table.
+
+    A table numpy reads as a square integer array is converted once, by
+    numpy.  Anything else (floats, strings, huge ints, ragged rows) takes
+    the per-cell int() of as_rows, so every input reads as before.
+    """
+    try:
+        arr = np.array(table)
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is not None and arr.dtype.kind == "i" and arr.ndim == 2 and len(arr) == arr.shape[1] > 0:
+        arr = arr.astype(np.int64, copy=False)
+        return tuple(map(tuple, arr.tolist())), arr
     op = as_rows(table)
     n = len(op)
     if n == 0:
@@ -103,34 +161,9 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupTable:
         if len(row) != n:
             raise NotLatinSquare(i, len(row), -1)
     try:
-        arr = np.array(op, dtype=np.int64)
+        return op, np.array(op, dtype=np.int64)
     except OverflowError:
-        arr = None
-    if arr is None or not _is_latin_with_identity(arr):
-        _raise_first_table_fault(op)
-        require(False, "array tests and table scans disagree")
-    lhs = arr[arr]  # lhs[x,y,z] = op[op[x,y], z]
-    rhs = arr[:, arr]  # rhs[x,y,z] = op[x, op[y,z]]
-    if not (lhs == rhs).all():
-        bad = np.argwhere(lhs != rhs)[0]
-        raise NotAssociative(int(bad[0]), int(bad[1]), int(bad[2]))
-    return trusted_group(op)
-
-
-def _is_latin_with_identity(arr: np.ndarray) -> bool:
-    """Every cell in range, row 0 and column 0 the identity, and every row
-    and every column a permutation."""
-    n = len(arr)
-    ids = np.arange(n)
-    if not ((arr >= 0) & (arr < n)).all():
-        return False
-    in_row = np.zeros((n, n), dtype=bool)
-    in_row[ids[:, None], arr] = True  # the value of cell (i, j) occurs in row i
-    in_col = np.zeros((n, n), dtype=bool)
-    in_col[arr, ids[None, :]] = True  # the value of cell (i, j) occurs in column j
-    return bool(
-        (arr[0] == ids).all() and (arr[:, 0] == ids).all() and in_row.all() and in_col.all()
-    )
+        return op, None
 
 
 def _raise_first_table_fault(op: tuple[tuple[int, ...], ...]) -> None:
@@ -304,15 +337,34 @@ def quotient_group(G: GroupTable, H: Iterable[int]) -> tuple[GroupTable, tuple[i
     return validate_group(table), cmap
 
 
-def _generating_sequence(G: GroupTable) -> list[int]:
-    """Greedy minimal-element generating sequence (canonical, increasing)."""
+def generators(op: Sequence[Sequence[int]]) -> ElementSet:
+    """Greedy generating sequence of a square table with identity 0: each
+    generator is the least element not yet reachable from 0 by right
+    products with the earlier ones.  On a group, the least element outside
+    the subgroup the earlier ones generate.
+
+    Incremental: when g joins, the elements reached so far are multiplied by
+    g alone, and each newly reached element by every generator, so each
+    product is taken once.
+    """
+    n = len(op)
+    reached = [True] + [False] * (n - 1)
+    members = [0]
     gens: list[int] = []
-    closed: ElementSet = (0,)
-    while len(closed) < G.n:
-        nxt = next(x for x in range(G.n) if x not in set(closed))
-        gens.append(nxt)
-        closed = subgroup_closure(G, gens)
-    return gens
+    least = 1
+    while len(members) < n:
+        while reached[least]:
+            least += 1
+        gens.append(least)
+        known = len(members)
+        for i, x in enumerate(members):  # members grows while it is walked
+            row = op[x]
+            for g in gens if i >= known else gens[-1:]:
+                y = row[g]
+                if not reached[y]:
+                    reached[y] = True
+                    members.append(y)
+    return tuple(gens)
 
 
 def _extend_by_words(
@@ -362,7 +414,7 @@ def isomorphisms(
         return []
     if conjugacy_class_sizes(G) != conjugacy_class_sizes(H):
         return []
-    gens = _generating_sequence(G)
+    gens = G.generators
     cands = [
         [y for y in range(H.n) if H.element_orders[y] == G.element_orders[g]]
         for g in gens

@@ -26,6 +26,7 @@ from bracekit.groups import (
     cyclic_group,
     dihedral_group,
     direct_product_group,
+    generators,
     group_commuting_probability,
     holomorph,
     is_isomorphic,
@@ -327,6 +328,41 @@ def test_searches_leave_no_reference_cycles(search):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _generating_sequence(G):
+    """The routine generators replaced: the least element outside the
+    subgroup generated so far, the subgroup recomputed for each generator."""
+    gens = []
+    closed = (0,)
+    while len(closed) < G.n:
+        gens.append(next(x for x in range(G.n) if x not in set(closed)))
+        closed = subgroup_closure(G, gens)
+    return gens
+
+
+GENERATOR_GROUPS = [G for n in range(1, 13) for G in groups_of_order(n, cap=12)] + [
+    cyclic_group(17)
+]
+
+
+@pytest.mark.parametrize(
+    "G", GENERATOR_GROUPS, ids=[f"{G.n}-{i}" for i, G in enumerate(GENERATOR_GROUPS)]
+)
+def test_generators_match_reference(G):
+    expected = tuple(_generating_sequence(G))
+    assert generators(G.op) == expected
+    assert G.generators == expected
+    assert validate_group(G.op).generators == expected  # handed over, not recomputed
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_generators_match_reference_on_relabelled_tables(data):
+    G = data.draw(st.sampled_from(GENERATOR_GROUPS))
+    sigma = [0] + data.draw(st.permutations(range(1, G.n)))
+    H = validate_group(relabel(G.np_op, sigma).tolist())
+    assert H.generators == generators(H.op) == tuple(_generating_sequence(H))
 
 
 def test_direct_product_group_shape():
