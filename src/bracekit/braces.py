@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -14,8 +14,8 @@ from .errors import (
     BadCyclicParameter,
     DistributivityFails,
     IdentityMismatch,
-    IndexOutOfRange,
     NotAnIdeal,
+    check_indices,
     require,
 )
 from .groups import (
@@ -27,6 +27,7 @@ from .groups import (
     canonical_form,
     center,
     closure,
+    direct_product_group,
     is_conjugation_closed,
     is_subgroup,
     isomorphisms,
@@ -203,28 +204,23 @@ def _assert_lambda_laws(B: SkewBrace) -> None:
 
 def star(B: SkewBrace, a: int, b: int) -> int:
     """a * b = lam_a(b) - b."""
-    _check(B, a), _check(B, b)
+    check_indices(B.n, a, b)
     return int(B.star_table[a, b])
 
 
 def gamma_plus(B: SkewBrace, a: int, b: int) -> int:
-    _check(B, a), _check(B, b)
-    return B.add.op[B.add.op[B.add.op[a][b]][B.add.inv[a]]][B.add.inv[b]]
+    check_indices(B.n, a, b)
+    return int(B.gamma_plus_table[a, b])
 
 
 def gamma_circ(B: SkewBrace, a: int, b: int) -> int:
-    _check(B, a), _check(B, b)
-    return B.mul.op[B.mul.op[B.mul.op[a][b]][B.mul.inv[a]]][B.mul.inv[b]]
+    check_indices(B.n, a, b)
+    return int(B.gamma_circ_table[a, b])
 
 
 def commutators(B: SkewBrace, a: int, b: int) -> tuple[int, int]:
     """Additive and multiplicative commutators of (a, b)."""
     return gamma_plus(B, a, b), gamma_circ(B, a, b)
-
-
-def _check(B: SkewBrace, x: int) -> None:
-    if not 0 <= x < B.n:
-        raise IndexOutOfRange(x, B.n)
 
 
 # -- constructors ------------------------------------------------------------
@@ -235,31 +231,22 @@ def trivial_brace(G: GroupTable) -> SkewBrace:
 
 
 def opposite_brace(G: GroupTable) -> SkewBrace:
-    op = tuple(tuple(G.op[b][a] for b in range(G.n)) for a in range(G.n))
-    return validate_skew_brace(G, validate_group(op))
+    return validate_skew_brace(G, validate_group(G.np_op.T))
 
 
 def cyclic_brace(n: int, d: int) -> SkewBrace:
     """Z_n with x o y = x + y + dxy; requires p | d | n for every prime p | n."""
     if d <= 0 or n % d != 0 or any(d % p != 0 for p in prime_divisors(n)):
         raise BadCyclicParameter(d, n)
-    add = [[(x + y) % n for y in range(n)] for x in range(n)]
-    mul = [[(x + y + d * x * y) % n for y in range(n)] for x in range(n)]
-    return validate_skew_brace(add, mul)
+    x, y = np.ogrid[:n, :n]
+    return validate_skew_brace((x + y) % n, (x + y + d * x * y) % n)
 
 
 def direct_product(B1: SkewBrace, B2: SkewBrace) -> SkewBrace:
     """Componentwise brace product with pair (i, j) encoded as i + B1.n * j."""
-    n1, n2 = B1.n, B2.n
-    n = n1 * n2
-
-    def build(t1, t2):
-        return [
-            [t1[i % n1][j % n1] + n1 * t2[i // n1][j // n1] for j in range(n)]
-            for i in range(n)
-        ]
-
-    return validate_skew_brace(build(B1.add.op, B2.add.op), build(B1.mul.op, B2.mul.op))
+    return validate_skew_brace(
+        direct_product_group(B1.add, B2.add), direct_product_group(B1.mul, B2.mul)
+    )
 
 
 # -- structure flags ---------------------------------------------------------
@@ -345,8 +332,7 @@ def classify_subset(B: SkewBrace, S: Iterable[int]) -> SubsetClass:
     members = set(S)
     if not members:
         return SubsetClass(False, False, False)
-    for x in members:
-        _check(B, x)
+    check_indices(B.n, *members)
     sub = is_subgroup(B.add, members) and is_subgroup(B.mul, members)
     left_ideal = sub and members.issuperset(B.lambdas[:, sorted(members)].ravel().tolist())
     ideal = (
@@ -386,20 +372,14 @@ def quotient_brace(B: SkewBrace, I: Iterable[int]) -> tuple[SkewBrace, tuple[int
 # -- series and nilpotency ---------------------------------------------------
 
 
-def _star_set(B: SkewBrace, I: Iterable[int], J: Iterable[int]) -> ElementSet:
-    """<x*y : x in I, y in J> as a subgroup of (B, +)."""
-    gens = {int(B.star_table[x, y]) for x in I for y in J}
-    return subgroup_closure(B.add, gens)
-
-
 def series(B: SkewBrace, kind: str) -> list[ElementSet]:
     """Terms of one of the four standard chains, until stabilization.
 
-    kind 'ann' ascends from Ann(B); 'gamma', 'star_left' and 'star_right'
-    descend from B.  Gamma terms are verified to be ideals, star_left terms
-    left ideals.
+    kind 'ann' ascends from Ann(B).  'gamma', 'star_left' and 'star_right'
+    descend from B: after G comes the additive subgroup generated by B*G,
+    G*B and [B, G]_+, by B*G, or by G*B, read from the tables.  Gamma and
+    star_right terms are verified to be ideals, star_left terms left ideals.
     """
-    full = tuple(range(B.n))
     S, gp = B.star_table, B.gamma_plus_table
     if kind == "ann":
         terms = [annihilator(B)]
@@ -412,38 +392,27 @@ def series(B: SkewBrace, kind: str) -> list[ElementSet]:
                 break
             terms.append(nxt)
         return terms
-    if kind == "gamma":
-        terms = [full]
-        while True:
-            prev = list(terms[-1])
-            gens = np.zeros(B.n, dtype=bool)
-            gens[S[:, prev]] = True
-            gens[S[prev, :]] = True
-            gens[gp[:, prev]] = True
-            nxt = subgroup_closure(B.add, np.flatnonzero(gens).tolist())
-            require(set(nxt) <= set(prev), "gamma series is not descending")
-            if nxt == terms[-1] or len(terms) > B.n:
-                break
-            require(classify_subset(B, nxt).is_ideal, "gamma term is not an ideal")
-            terms.append(nxt)
-        return terms
-    if kind in ("star_left", "star_right"):
-        terms = [full]
-        while True:
-            prev = terms[-1]
-            if kind == "star_left":
-                nxt = _star_set(B, full, prev)
-            else:
-                nxt = _star_set(B, prev, full)
-            if nxt == prev or len(terms) > B.n:
-                break
-            if kind == "star_left":
-                require(classify_subset(B, nxt).is_left_ideal, "star_left term not a left ideal")
-            else:
-                require(classify_subset(B, nxt).is_ideal, "star_right term is not an ideal")
-            terms.append(nxt)
-        return terms
-    raise ValueError(f"unknown series kind {kind!r}")
+    if kind not in ("gamma", "star_left", "star_right"):
+        raise ValueError(f"unknown series kind {kind!r}")
+    terms = [tuple(range(B.n))]
+    while True:
+        prev = list(terms[-1])
+        gens = np.zeros(B.n, dtype=bool)
+        if kind != "star_right":
+            gens[S[:, prev]] = True  # B * G
+        if kind != "star_left":
+            gens[S[prev, :]] = True  # G * B
+        if kind == "gamma":
+            gens[gp[:, prev]] = True  # [B, G]_+
+        nxt = subgroup_closure(B.add, np.flatnonzero(gens).tolist())
+        require(kind != "gamma" or set(nxt) <= set(prev), "gamma series is not descending")
+        if nxt == terms[-1] or len(terms) > B.n:
+            return terms
+        sub = classify_subset(B, nxt)
+        require(kind != "gamma" or sub.is_ideal, "gamma term is not an ideal")
+        require(kind != "star_left" or sub.is_left_ideal, "star_left term not a left ideal")
+        require(kind != "star_right" or sub.is_ideal, "star_right term is not an ideal")
+        terms.append(nxt)
 
 
 def nilpotency_class(B: SkewBrace) -> Optional[int]:

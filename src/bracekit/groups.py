@@ -12,17 +12,16 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
     IdentityNotZero,
-    IndexOutOfRange,
     NotAssociative,
     NotLatinSquare,
     NotNormal,
+    check_indices,
     require,
 )
 
@@ -195,11 +194,6 @@ def _raise_first_table_fault(op: tuple[tuple[int, ...], ...]) -> None:
             seen.add(v)
 
 
-def _check_index(x: int, n: int) -> None:
-    if not 0 <= x < n:
-        raise IndexOutOfRange(x, n)
-
-
 def prime_divisors(n: int) -> list[int]:
     """The distinct primes dividing n, in increasing order."""
     out = []
@@ -217,7 +211,7 @@ def prime_divisors(n: int) -> list[int]:
 
 def centralizer(G: GroupTable, x: int) -> ElementSet:
     """Elements commuting with x."""
-    _check_index(x, G.n)
+    check_indices(G.n, x)
     return tuple(y for y in range(G.n) if G.op[x][y] == G.op[y][x])
 
 
@@ -244,10 +238,11 @@ def closure(
     """
     n = len((tables or actions)[0])
     limit = n if cap is None else cap
+    S = tuple(S)
+    check_indices(n, *S)
     members = {0}
     work = []
     for s in S:
-        _check_index(s, n)
         if s not in members:
             members.add(s)
             work.append(s)
@@ -332,9 +327,7 @@ def quotient_group(G: GroupTable, H: Iterable[int]) -> tuple[GroupTable, tuple[i
     relabel = {old: new for new, old in enumerate(order)}
     cmap = tuple(relabel[coset_of[x]] for x in range(G.n))
     reps = [reps[i] for i in order]
-    m = len(reps)
-    table = [[cmap[G.op[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
-    return validate_group(table), cmap
+    return validate_group(np.array(cmap)[G.np_op[np.ix_(reps, reps)]]), cmap
 
 
 def generators(op: Sequence[Sequence[int]]) -> ElementSet:
@@ -370,29 +363,20 @@ def generators(op: Sequence[Sequence[int]]) -> ElementSet:
 def _extend_by_words(
     G: GroupTable, H: GroupTable, gens: Sequence[int], images: Sequence[int]
 ) -> Optional[Bijection]:
-    """Extend generator images to a full map via product derivations, or None."""
-    img: dict[int, int] = {0: 0}
-    for g, im in zip(gens, images):
-        if g in img and img[g] != im:
-            return None
-        img[g] = im
-    while len(img) < G.n:
-        progressed = False
-        known = list(img)
-        for a in known:
-            for b in known:
-                p = G.op[a][b]
-                q = H.op[img[a]][img[b]]
-                if p in img:
-                    if img[p] != q:
-                        return None
-                else:
-                    img[p] = q
-                    progressed = True
-        if not progressed:
-            return None
-    mapped = tuple(img[x] for x in range(G.n))
-    if len(set(mapped)) != G.n:
+    """The isomorphism G -> H sending the generators gens of G to images, or
+    None.  One walk from 0 by right products with the generators defines
+    img(x g) = img(x) img(g) on all of G; the map is kept if it is a
+    bijective homomorphism."""
+    img = [0] + [-1] * (G.n - 1)
+    walk = [0]
+    for x in walk:  # walk grows while it is read
+        for g, im in zip(gens, images):
+            y = G.op[x][g]
+            if img[y] < 0:
+                img[y] = H.op[img[x]][im]
+                walk.append(y)
+    mapped = tuple(img)
+    if sorted(mapped) != list(range(G.n)):
         return None
     m = np.array(mapped)
     if not (m[G.np_op] == H.np_op[m[:, None], m[None, :]]).all():

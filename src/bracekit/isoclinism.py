@@ -5,16 +5,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .braces import (
     SkewBrace,
     annihilator,
     brace_isomorphisms,
+    classify_subset,
     quotient_brace,
     series,
     validate_skew_brace,
 )
-from .errors import require
-from .groups import Bijection, ElementSet
+from .errors import NotASubBrace, require
+from .groups import Bijection, ElementSet, as_rows
 
 
 @dataclass(frozen=True)
@@ -37,43 +40,37 @@ def gamma2(B: SkewBrace) -> ElementSet:
 
 def induced_brace(B: SkewBrace, members: ElementSet) -> SkewBrace:
     """Sub-brace on members with elements relabelled by rank (0 stays 0)."""
-    idx = {x: i for i, x in enumerate(members)}
-    add = [[idx[B.add.op[x][y]] for y in members] for x in members]
-    mul = [[idx[B.mul.op[x][y]] for y in members] for x in members]
-    return validate_skew_brace(add, mul)
+    if not classify_subset(B, members).is_sub_brace:
+        raise NotASubBrace(f"{list(members)} is not a sub-brace")
+    rank = np.zeros(B.n, dtype=np.int64)
+    rank[list(members)] = np.arange(len(members))
+    cells = np.ix_(members, members)
+    return validate_skew_brace(rank[B.add.np_op[cells]], rank[B.mul.np_op[cells]])
 
 
 def isoclinism_data(B: SkewBrace) -> IsoclinismData:
     """Build the commutator maps over coset representatives and re-check
     representative independence over every pair of elements."""
-    ann = annihilator(B)
-    quotient, cmap = quotient_brace(B, ann)
+    quotient, cmap = quotient_brace(B, annihilator(B))
     g2 = gamma2(B)
     g2_brace = induced_brace(B, g2)
-    g2_idx = {x: i for i, x in enumerate(g2)}
-    m = quotient.n
-    reps = [cmap.index(i) for i in range(m)]
-    phi_plus = tuple(
-        tuple(g2_idx[int(B.gamma_plus_table[a, b])] for b in reps) for a in reps
-    )
-    phi_star = tuple(
-        tuple(g2_idx[int(B.star_table[a, b])] for b in reps) for a in reps
-    )
+    rank = np.zeros(B.n, dtype=np.int64)  # the index of each member of Gamma_2
+    rank[list(g2)] = np.arange(len(g2))
+    coset = np.array(cmap)
+    reps = np.unique(coset, return_index=True)[1]  # least element of each coset
+    plus, star = rank[B.gamma_plus_table], rank[B.star_table]
+    phi_plus, phi_star = plus[np.ix_(reps, reps)], star[np.ix_(reps, reps)]
+    pairs = (coset[:, None], coset[None, :])
     require(
-        all(
-            g2_idx[int(B.gamma_plus_table[a, b])] == phi_plus[cmap[a]][cmap[b]]
-            and g2_idx[int(B.star_table[a, b])] == phi_star[cmap[a]][cmap[b]]
-            for a in range(B.n)
-            for b in range(B.n)
-        ),
+        (phi_plus[pairs] == plus).all() and (phi_star[pairs] == star).all(),
         "commutator maps depend on the coset representatives",
     )
     return IsoclinismData(
         quotient=quotient,
         gamma2=g2_brace,
         gamma2_members=g2,
-        phi_plus=phi_plus,
-        phi_star=phi_star,
+        phi_plus=as_rows(phi_plus.tolist()),
+        phi_star=as_rows(phi_star.tolist()),
     )
 
 

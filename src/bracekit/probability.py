@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .braces import SkewBrace, annihilator, cyclic_brace
-from .errors import GapViolation, IndexOutOfRange, require
+from .errors import GapViolation, check_indices, require
 from .groups import ElementSet, group_commuting_probability, prime_divisors
 
 
@@ -30,8 +30,7 @@ class CentralizerSuite:
 def centralizer_suite(B: SkewBrace, x: int) -> CentralizerSuite:
     """Cb, Cb^l, Cb^r, Fix^l, Fix^r of x: row x of the brace's centralizer
     masks, which are computed and cross-checked once per brace."""
-    if not 0 <= x < B.n:
-        raise IndexOutOfRange(x, B.n)
+    check_indices(B.n, x)
     c = B.centralizers
 
     def row(mask) -> ElementSet:

@@ -12,7 +12,6 @@ from .braces import (
     annihilator,
     classify_subset,
     cyclic_brace,
-    ideals,
     nilpotency_class,
     quotient_brace,
     series,
@@ -143,7 +142,8 @@ def check_monotonicity(entries: CatalogEntries, scope: str) -> TheoremVerdict:
     checked = 0
     for cid, B in entries:
         pb = commuting_probability(B)
-        for members in sub_braces(B):
+        subs = sub_braces(B)
+        for members in subs:
             checked += 1
             H = induced_brace(B, members)
             ph = commuting_probability(H)
@@ -152,7 +152,7 @@ def check_monotonicity(entries: CatalogEntries, scope: str) -> TheoremVerdict:
                 violations.append((cid, f"Pb(B) > Pb(H) for H = {members}"))
             if len(members) < B.n and not ph / (idx * idx) < pb:
                 violations.append((cid, f"index-squared bound fails for {members}"))
-        for members in ideals(B):
+        for members in (S for S in subs if classify_subset(B, S).is_ideal):
             checked += 1
             N = induced_brace(B, members)
             Q, _ = quotient_brace(B, members)

@@ -32,11 +32,13 @@ from bracekit.braces import (
     validate_skew_brace,
 )
 from bracekit.enumeration import groups_of_order, skew_braces_of_order
-from bracekit.errors import BadCyclicParameter, DistributivityFails
+from bracekit.errors import BadCyclicParameter, DistributivityFails, IndexOutOfRange
 from bracekit.groups import (
     as_rows,
     automorphism_group,
     canonical_form,
+    centralizer,
+    closure,
     cyclic_group,
     dihedral_group,
     klein_four_group,
@@ -44,6 +46,7 @@ from bracekit.groups import (
     relabel,
     validate_group,
 )
+from bracekit.probability import centralizer_suite
 
 BRACES = [e.brace for n in range(1, 9) for e in skew_braces_of_order(n).entries]
 
@@ -157,6 +160,32 @@ def test_series_of_cyclic_example():
     assert [len(t) for t in series(B, "ann")] == [2, 4]
     assert [len(t) for t in series(B, "star_left")] == [4, 2, 1]
     assert [len(t) for t in series(B, "star_right")] == [4, 2, 1]
+
+
+def test_commutators_match_the_scalar_formula():
+    B = opposite_brace(quaternion_group())  # neither group is abelian
+    for a in range(B.n):
+        for b in range(B.n):
+            for G, value in ((B.add, gamma_plus(B, a, b)), (B.mul, gamma_circ(B, a, b))):
+                assert value == G.op[G.op[G.op[a][b]][G.inv[a]]][G.inv[b]]
+
+
+def test_element_arguments_are_range_checked():
+    B = cyclic_brace(4, 2)
+    calls = [
+        lambda x: star(B, x, 0),
+        lambda x: star(B, 0, x),
+        lambda x: gamma_plus(B, 0, x),
+        lambda x: gamma_circ(B, x, 0),
+        lambda x: classify_subset(B, (0, x)),
+        lambda x: closure((B.add.op,), (1, x)),
+        lambda x: centralizer(B.add, x),
+        lambda x: centralizer_suite(B, x),
+    ]
+    for call in calls:
+        for x in (-1, 4):
+            with pytest.raises(IndexOutOfRange, match=f"element index {x} out of range for order 4"):
+                call(x)
 
 
 def test_nilpotency_of_trivial_nonnilpotent_group():

@@ -132,6 +132,38 @@ def test_isomorphism_classification_order_4():
     assert isomorphisms(z4, k4) == []
 
 
+def _isomorphisms_reference(G, H):
+    """Every bijection fixing 0 that carries the table of G onto that of H."""
+    if G.n != H.n:
+        return []
+    maps = np.array([(0, *p) for p in itertools.permutations(range(1, G.n))])
+    ok = (maps[:, G.np_op] == H.np_op[maps[:, :, None], maps[:, None, :]]).all(axis=(1, 2))
+    return sorted(map(tuple, maps[ok].tolist()))
+
+
+SMALL_GROUPS = [G for n in range(1, 7) for G in groups_of_order(n)]
+
+
+def test_isomorphisms_match_reference_on_small_groups():
+    for G, H in itertools.product(SMALL_GROUPS, repeat=2):
+        expected = _isomorphisms_reference(G, H)
+        assert isomorphisms(G, H) == expected
+        assert isomorphisms(G, H, first_only=True) == expected[:1]
+
+
+@pytest.mark.parametrize("index", range(5))
+@given(st.data())
+@settings(max_examples=10, deadline=None)
+def test_isomorphisms_match_reference_on_relabelled_order_8(index, data):
+    G = groups_of_order(8)[index]
+    sigma = [0] + data.draw(st.permutations(range(1, 8)))
+    H = validate_group(relabel(G.np_op, sigma).tolist())
+    expected = _isomorphisms_reference(G, H)
+    assert len(expected) == len(automorphism_group(G))
+    assert isomorphisms(G, H) == expected
+    assert isomorphisms(H, G) == _isomorphisms_reference(H, G)
+
+
 def test_automorphism_counts():
     assert len(automorphism_group(cyclic_group(4))) == 2
     assert len(automorphism_group(klein_four_group())) == 6

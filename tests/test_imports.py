@@ -33,3 +33,24 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_require_messages_are_string_literals():
+    """errors.require takes a constant message, so that a passing check
+    costs one call and no formatting."""
+    calls = [
+        (path.name, node)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "require"
+    ]
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in calls
+        if node.keywords
+        or len(node.args) != 2
+        or not (isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str))
+    ]
+    assert calls and not found, found

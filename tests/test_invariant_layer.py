@@ -3,7 +3,7 @@
 The references below are those routines, computed element by element from
 the Cayley tables: the exhaustive centralizer suite, the pair-count
 probability, the centre as an intersection of centralizers, the annihilator
-from the kernel of lambda and both centres, the ann and gamma steps of the
+from the kernel of lambda and both centres, the steps of all four
 series, and the per-element loops that tested the 5/8 shape and the
 strict-centralizer hypothesis.  Further tests corrupt one cell of a cached table and check that the
 cross-checks of the layer see it, also under ``python -O``, and that no result
@@ -149,9 +149,13 @@ def _series_reference(B, kind):
     terms = [tuple(range(n))]
     while True:
         prev = terms[-1]
-        gens = {_star(B, a, u) for a in range(n) for u in prev}
-        gens |= {_star(B, u, a) for a in range(n) for u in prev}
-        gens |= {_commutator(B.add, a, u) for a in range(n) for u in prev}
+        gens = set()
+        if kind in ("gamma", "star_left"):
+            gens |= {_star(B, a, u) for a in range(n) for u in prev}
+        if kind in ("gamma", "star_right"):
+            gens |= {_star(B, u, a) for a in range(n) for u in prev}
+        if kind == "gamma":
+            gens |= {_commutator(B.add, a, u) for a in range(n) for u in prev}
         nxt = _subgroup_generated(B.add, gens)
         if nxt == prev or len(terms) > n:
             return terms
@@ -182,7 +186,7 @@ def _assert_layer_matches_references(B):
     assert has_five_eighths_shape(B) == (
         B.n // len(ann) == 4 and all(2 * len(s.cb) == B.n for s in suites if s.x not in ann)
     )
-    for kind in ("ann", "gamma"):
+    for kind in ("ann", "gamma", "star_left", "star_right"):
         assert series(B, kind) == _series_reference(B, kind)
 
 

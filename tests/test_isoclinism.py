@@ -2,13 +2,25 @@
 
 from fractions import Fraction
 
+import pytest
+
 from bracekit import isoclinism
-from bracekit.braces import cyclic_brace, direct_product, opposite_brace, trivial_brace
+from bracekit.braces import (
+    annihilator,
+    cyclic_brace,
+    direct_product,
+    opposite_brace,
+    quotient_brace,
+    trivial_brace,
+    validate_skew_brace,
+)
 from bracekit.enumeration import skew_braces_of_order
+from bracekit.errors import BraceKitError, InvariantViolation
 from bracekit.groups import cyclic_group, klein_four_group, quaternion_group
 from bracekit.isoclinism import (
     are_isoclinic,
     gamma2,
+    induced_brace,
     is_stem,
     isoclinism_classes,
     isoclinism_data,
@@ -124,3 +136,47 @@ def test_classes_compute_isoclinism_data_once_per_brace(monkeypatch):
     assert len(isoclinism.isoclinism_classes(braces)) == 7
     assert len(seen) == len(braces)
     assert all(a is b for a, b in zip(seen, braces))
+
+
+def test_induced_brace_rejects_a_subset_that_is_not_a_sub_brace():
+    B = cyclic_brace(4, 2)
+    for members in [(0, 1), (1, 2), ()]:
+        with pytest.raises(BraceKitError, match="is not a sub-brace"):
+            induced_brace(B, members)
+    H = induced_brace(B, (0, 2))
+    assert H.n == 2 and H.add.op == ((0, 1), (1, 0))
+
+
+def _commutator(G, a, b):
+    return G.op[G.op[G.op[a][b]][G.inv[a]]][G.inv[b]]
+
+
+def _star(B, a, b):
+    lam = B.add.op[B.add.inv[a]][B.mul.op[a][b]]
+    return B.add.op[lam][B.add.inv[b]]
+
+
+def test_isoclinism_data_matches_scalar_reference():
+    for B in (e.brace for n in range(1, 9) for e in skew_braces_of_order(n).entries):
+        d = isoclinism_data(B)
+        g2 = d.gamma2_members
+        _, cmap = quotient_brace(B, annihilator(B))
+        reps = [cmap.index(i) for i in range(d.quotient.n)]
+        assert d.phi_plus == tuple(
+            tuple(g2.index(_commutator(B.add, a, b)) for b in reps) for a in reps
+        )
+        assert d.phi_star == tuple(tuple(g2.index(_star(B, a, b)) for b in reps) for a in reps)
+        for sub, whole in ((d.gamma2.add, B.add), (d.gamma2.mul, B.mul)):
+            assert sub.op == tuple(tuple(g2.index(whole.op[x][y]) for y in g2) for x in g2)
+
+
+@pytest.mark.parametrize("name", ["gamma_plus_table", "star_table"])
+def test_commutator_maps_are_checked_for_representative_independence(name):
+    B = cyclic_brace(8, 2)  # Ann(B) = {0, 4}; 5 is not the least element of its coset
+    assert annihilator(B) == (0, 4)
+    table = getattr(B, name).copy()
+    table[5, 1] = 2 if table[5, 1] == 0 else 0
+    fresh = validate_skew_brace(B.add.op, B.mul.op)
+    fresh.__dict__[name] = table
+    with pytest.raises(InvariantViolation, match="commutator maps depend on the coset representatives"):
+        isoclinism_data(fresh)
