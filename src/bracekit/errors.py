@@ -30,13 +30,6 @@ class IndexOutOfRange(BraceKitError):
         super().__init__(f"element index {index} out of range for order {n}")
 
 
-def check_indices(n: int, *xs: int) -> None:
-    """Raise IndexOutOfRange for the first x that is not an element 0..n-1."""
-    for x in xs:
-        if not 0 <= x < n:
-            raise IndexOutOfRange(x, n)
-
-
 class NotNormal(BraceKitError):
     pass
 
@@ -96,3 +89,10 @@ def require(cond: bool, msg: str) -> None:
     """
     if not cond:
         raise InvariantViolation(msg)
+
+
+def check_indices(n: int, *xs: int) -> None:
+    """Raise IndexOutOfRange for the first x that is not an element 0..n-1."""
+    for x in xs:
+        if not 0 <= x < n:
+            raise IndexOutOfRange(x, n)
