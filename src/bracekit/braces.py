@@ -15,6 +15,7 @@ from .errors import (
     DistributivityFails,
     IdentityMismatch,
     NotAnIdeal,
+    ParseError,
     check_indices,
     require,
 )
@@ -32,7 +33,7 @@ from .groups import (
     is_subgroup,
     isomorphisms,
     prime_divisors,
-    quotient_group,
+    quotient_table,
     subgroup_closure,
     trusted_group,
     validate_group,
@@ -64,17 +65,13 @@ class SkewBrace:
 
     @cached_property
     def gamma_plus_table(self) -> np.ndarray:
-        add, inv = self.add.np_op, self.add.np_inv
-        arr = add[add[add, inv[:, None]], inv[None, :]]
-        arr.flags.writeable = False
-        return arr
+        """[a, b]_+ = a + b - a - b."""
+        return self.add.commutator_table
 
     @cached_property
     def gamma_circ_table(self) -> np.ndarray:
-        mul, inv = self.mul.np_op, self.mul.np_inv
-        arr = mul[mul[mul, inv[:, None]], inv[None, :]]
-        arr.flags.writeable = False
-        return arr
+        """[a, b]_o = a o b o a^-1 o b^-1."""
+        return self.mul.commutator_table
 
     @cached_property
     def centralizers(self) -> Centralizers:
@@ -360,13 +357,21 @@ def quotient_brace(B: SkewBrace, I: Iterable[int]) -> tuple[SkewBrace, tuple[int
 
     Coset representatives are minimal elements; the coset of 0 maps to 0.
     """
+    add_q, mul_q, cmap = quotient_tables(B, I)
+    return validate_skew_brace(add_q, mul_q), cmap
+
+
+def quotient_tables(B: SkewBrace, I: Iterable[int]) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The additive and multiplicative tables of B/I, not yet validated, and
+    the coset map; raises NotAnIdeal unless I is an ideal, and checks that
+    the two groups have the same cosets."""
     members = set(I)
     if not classify_subset(B, members).is_ideal:
         raise NotAnIdeal(f"{sorted(members)} is not an ideal")
-    add_q, cmap = quotient_group(B.add, members)
-    mul_q, mul_cmap = quotient_group(B.mul, members)
+    add_q, cmap = quotient_table(B.add, members)
+    mul_q, mul_cmap = quotient_table(B.mul, members)
     require(cmap == mul_cmap, "additive and multiplicative cosets differ")
-    return validate_skew_brace(add_q, mul_q), cmap
+    return add_q, mul_q, cmap
 
 
 # -- series and nilpotency ---------------------------------------------------
@@ -393,7 +398,7 @@ def series(B: SkewBrace, kind: str) -> list[ElementSet]:
             terms.append(nxt)
         return terms
     if kind not in ("gamma", "star_left", "star_right"):
-        raise ValueError(f"unknown series kind {kind!r}")
+        raise ParseError(f"unknown series kind {kind!r}")
     terms = [tuple(range(B.n))]
     while True:
         prev = list(terms[-1])

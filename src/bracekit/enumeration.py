@@ -273,7 +273,7 @@ def skew_braces_of_order(
 ) -> BraceCatalog:
     """Catalog of all skew braces of order n up to brace isomorphism."""
     if method not in ("holomorph", "brute"):
-        raise ValueError(f"unknown method {method!r}")
+        raise ParseError(f"unknown method {method!r}")
     _check_cap(n, cap)
     key = (n, method, resolve_cap(cap))
     if key in _CATALOG_CACHE:

@@ -54,6 +54,14 @@ class GroupTable:
         return bool((self.np_op == self.np_op.T).all())
 
     @cached_property
+    def commutator_table(self) -> np.ndarray:
+        """comm[x, y] = x y x^-1 y^-1."""
+        op, inv = self.np_op, self.np_inv
+        arr = op[op[op, inv[:, None]], inv[None, :]]
+        arr.flags.writeable = False
+        return arr
+
+    @cached_property
     def conjugates(self) -> tuple[tuple[int, ...], ...]:
         """Row x lists g x g^-1 for g = 0..n-1."""
         op = self.np_op
@@ -284,8 +292,9 @@ def is_conjugation_closed(G: GroupTable, H: Iterable[int]) -> bool:
 
 
 def commutator_subgroup(G: GroupTable) -> ElementSet:
-    comms = {G.op[G.op[x][y]][G.op[G.inv[x]][G.inv[y]]] for x in range(G.n) for y in range(G.n)}
-    return subgroup_closure(G, comms)
+    comms = np.zeros(G.n, dtype=bool)
+    comms[G.commutator_table] = True
+    return subgroup_closure(G, np.flatnonzero(comms).tolist())
 
 
 def is_normal(G: GroupTable, H: Iterable[int]) -> bool:
@@ -306,7 +315,14 @@ def conjugacy_class_sizes(G: GroupTable) -> tuple[int, ...]:
 
 
 def quotient_group(G: GroupTable, H: Iterable[int]) -> tuple[GroupTable, tuple[int, ...]]:
-    """Quotient of G by a normal subgroup H; returns (quotient, coset map).
+    """Quotient of G by a normal subgroup H; returns (quotient, coset map)."""
+    table, cmap = quotient_table(G, H)
+    return validate_group(table), cmap
+
+
+def quotient_table(G: GroupTable, H: Iterable[int]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The Cayley table of G/H, not yet validated, and the coset map;
+    raises NotNormal unless H is a normal subgroup.
 
     Cosets are labelled by rank of their minimal representative, so the coset
     of 0 becomes the identity.
@@ -327,7 +343,7 @@ def quotient_group(G: GroupTable, H: Iterable[int]) -> tuple[GroupTable, tuple[i
     relabel = {old: new for new, old in enumerate(order)}
     cmap = tuple(relabel[coset_of[x]] for x in range(G.n))
     reps = [reps[i] for i in order]
-    return validate_group(np.array(cmap)[G.np_op[np.ix_(reps, reps)]]), cmap
+    return np.array(cmap, dtype=np.int64)[G.np_op[np.ix_(reps, reps)]], cmap
 
 
 def generators(op: Sequence[Sequence[int]]) -> ElementSet:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .braces import (
     SkewBrace,
+    SubsetClass,
     annihilator,
     brace_isomorphisms,
     classify_subset,
@@ -40,12 +41,22 @@ def gamma2(B: SkewBrace) -> ElementSet:
 
 def induced_brace(B: SkewBrace, members: ElementSet) -> SkewBrace:
     """Sub-brace on members with elements relabelled by rank (0 stays 0)."""
-    if not classify_subset(B, members).is_sub_brace:
+    return validate_skew_brace(*induced_tables(B, members, classify_subset(B, members)))
+
+
+def induced_tables(
+    B: SkewBrace, members: ElementSet, kind: SubsetClass
+) -> tuple[np.ndarray, np.ndarray]:
+    """The additive and multiplicative tables of the sub-brace on members,
+    relabelled by rank and not yet validated; kind is
+    classify_subset(B, members), and NotASubBrace is raised unless it says
+    sub-brace."""
+    if not kind.is_sub_brace:
         raise NotASubBrace(f"{list(members)} is not a sub-brace")
     rank = np.zeros(B.n, dtype=np.int64)
     rank[list(members)] = np.arange(len(members))
     cells = np.ix_(members, members)
-    return validate_skew_brace(rank[B.add.np_op[cells]], rank[B.mul.np_op[cells]])
+    return rank[B.add.np_op[cells]], rank[B.mul.np_op[cells]]
 
 
 def isoclinism_data(B: SkewBrace) -> IsoclinismData:
@@ -101,16 +112,22 @@ def _diagram_commutes(
 def are_isoclinic(A: SkewBrace, B: SkewBrace) -> Optional[IsoclinismWitness]:
     """First witness pair in canonical (lexicographic xi, then theta) order,
     or None when the braces are not isoclinic."""
-    return _witness(isoclinism_data(A), isoclinism_data(B))
+    return _witness(isoclinism_data(A), isoclinism_data(B), brace_isomorphisms)
 
 
-def _witness(dA: IsoclinismData, dB: IsoclinismData) -> Optional[IsoclinismWitness]:
+def _witness(
+    dA: IsoclinismData,
+    dB: IsoclinismData,
+    isos: Callable[[SkewBrace, SkewBrace], list[Bijection]],
+) -> Optional[IsoclinismWitness]:
+    """The first witness, with isos(A, B) giving the brace isomorphisms
+    A -> B in order."""
     if dA.quotient.n != dB.quotient.n or dA.gamma2.n != dB.gamma2.n:
         return None
-    xis = brace_isomorphisms(dA.quotient, dB.quotient)
+    xis = isos(dA.quotient, dB.quotient)
     if not xis:
         return None
-    thetas = brace_isomorphisms(dA.gamma2, dB.gamma2)
+    thetas = isos(dA.gamma2, dB.gamma2)
     for xi in xis:
         for theta in thetas:
             if _diagram_commutes(dA, dB, xi, theta):
@@ -134,12 +151,21 @@ def isoclinism_classes(braces: Sequence[SkewBrace]) -> list[list[int]]:
             i = parent[i]
         return i
 
+    # Many braces share their quotient and Gamma_2 tables, so each pair of
+    # equal-valued braces is searched once per call.
+    found: dict[tuple[SkewBrace, SkewBrace], list[Bijection]] = {}
+
+    def isos(A: SkewBrace, B: SkewBrace) -> list[Bijection]:
+        if (A, B) not in found:
+            found[A, B] = brace_isomorphisms(A, B)
+        return found[A, B]
+
     data = [isoclinism_data(b) for b in braces]
     for i in range(len(braces)):
         for j in range(i + 1, len(braces)):
             if find(i) == find(j):
                 continue
-            if _witness(data[i], data[j]) is not None:
+            if _witness(data[i], data[j], isos) is not None:
                 parent[find(j)] = find(i)
     groups: dict[int, list[int]] = {}
     for i in range(len(braces)):

@@ -14,12 +14,14 @@ from .braces import (
     cyclic_brace,
     nilpotency_class,
     quotient_brace,
+    quotient_tables,
     series,
     structure_flags,
     sub_braces,
+    validate_skew_brace,
 )
 from .groups import prime_divisors
-from .isoclinism import gamma2, induced_brace, is_stem, isoclinism_classes
+from .isoclinism import gamma2, induced_tables, is_stem, isoclinism_classes
 from .probability import (
     bound_report,
     commuting_probability,
@@ -140,23 +142,36 @@ def check_monotonicity(entries: CatalogEntries, scope: str) -> TheoremVerdict:
     Pb(B) <= Pb(H), Pb(H)/[B:H]^2 < Pb(B), and Pb(B) <= Pb(N) Pb(B/N)."""
     violations = []
     checked = 0
+    # Few distinct tables occur among the sub-braces and quotients of a
+    # catalog, so each distinct (add, mul) pair is validated and measured
+    # once per call; the byte length of a table fixes its order.
+    pbs: dict[tuple[bytes, bytes], Fraction] = {}
+
+    def pb_of(add, mul) -> Fraction:
+        key = (add.tobytes(), mul.tobytes())
+        if key not in pbs:
+            pbs[key] = commuting_probability(validate_skew_brace(add, mul))
+        return pbs[key]
+
     for cid, B in entries:
         pb = commuting_probability(B)
-        subs = sub_braces(B)
-        for members in subs:
+        subs = [(S, classify_subset(B, S)) for S in sub_braces(B)]
+        sub_pbs = []
+        for members, kind in subs:
             checked += 1
-            H = induced_brace(B, members)
-            ph = commuting_probability(H)
-            idx = B.n // H.n
+            ph = pb_of(*induced_tables(B, members, kind))
+            sub_pbs.append(ph)
+            idx = B.n // len(members)
             if pb > ph:
                 violations.append((cid, f"Pb(B) > Pb(H) for H = {members}"))
             if len(members) < B.n and not ph / (idx * idx) < pb:
                 violations.append((cid, f"index-squared bound fails for {members}"))
-        for members in (S for S in subs if classify_subset(B, S).is_ideal):
+        for (members, kind), pn in zip(subs, sub_pbs):
+            if not kind.is_ideal:
+                continue
             checked += 1
-            N = induced_brace(B, members)
-            Q, _ = quotient_brace(B, members)
-            if pb > commuting_probability(N) * commuting_probability(Q):
+            add_q, mul_q, _ = quotient_tables(B, members)
+            if pb > pn * pb_of(add_q, mul_q):
                 violations.append((cid, f"Pb(B) > Pb(N)Pb(B/N) for N = {members}"))
     return _verdict("monotonicity", scope, checked, violations)
 

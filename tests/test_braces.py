@@ -32,7 +32,7 @@ from bracekit.braces import (
     validate_skew_brace,
 )
 from bracekit.enumeration import groups_of_order, skew_braces_of_order
-from bracekit.errors import BadCyclicParameter, DistributivityFails, IndexOutOfRange
+from bracekit.errors import BadCyclicParameter, DistributivityFails, IndexOutOfRange, ParseError
 from bracekit.groups import (
     as_rows,
     automorphism_group,
@@ -168,6 +168,19 @@ def test_commutators_match_the_scalar_formula():
         for b in range(B.n):
             for G, value in ((B.add, gamma_plus(B, a, b)), (B.mul, gamma_circ(B, a, b))):
                 assert value == G.op[G.op[G.op[a][b]][G.inv[a]]][G.inv[b]]
+
+
+def test_commutator_tables_are_the_group_tables_and_match_the_scalar_formula():
+    for B in (e.brace for n in range(1, 9) for e in skew_braces_of_order(n).entries):
+        for G, table in ((B.add, B.gamma_plus_table), (B.mul, B.gamma_circ_table)):
+            assert table is G.commutator_table
+            scalar = [[G.op[G.op[G.op[a][b]][G.inv[a]]][G.inv[b]] for b in range(B.n)] for a in range(B.n)]
+            assert table.tobytes() == np.array(scalar, dtype=np.int64).tobytes()
+
+
+def test_unknown_series_kind_is_a_parse_error():
+    with pytest.raises(ParseError, match="unknown series kind 'lower'"):
+        series(cyclic_brace(4, 2), "lower")
 
 
 def test_element_arguments_are_range_checked():

@@ -18,7 +18,7 @@ from bracekit.enumeration import (
     skew_braces_of_order,
     skew_braces_on,
 )
-from bracekit.errors import OrderCapExceeded
+from bracekit.errors import OrderCapExceeded, ParseError
 from bracekit.groups import (
     cyclic_group,
     is_isomorphic,
@@ -189,3 +189,8 @@ def test_not_two_sided_count_at_order_8():
     entries = skew_braces_of_order(8).entries
     nts = [e for e in entries if not e.report.flags.two_sided]
     assert len(nts) == 5
+
+
+def test_unknown_method_is_a_parse_error():
+    with pytest.raises(ParseError, match="unknown method 'magic'"):
+        skew_braces_of_order(4, method="magic")

@@ -94,6 +94,17 @@ def test_quaternion_structure():
     assert commutator_subgroup(q8) == (0, 1)
 
 
+def test_commutator_table_and_subgroup_match_the_scalar_formula():
+    for G in [G for n in range(1, 13) for G in groups_of_order(n, cap=12)]:
+        scalar = [
+            [G.op[G.op[x][y]][G.op[G.inv[x]][G.inv[y]]] for y in range(G.n)] for x in range(G.n)
+        ]
+        table = G.commutator_table
+        assert table.tobytes() == np.array(scalar, dtype=np.int64).tobytes()
+        assert table.shape == (G.n, G.n) and not table.flags.writeable
+        assert commutator_subgroup(G) == subgroup_closure(G, {c for row in scalar for c in row})
+
+
 def test_dihedral_structure():
     d3 = dihedral_group(3)
     assert len(commutator_subgroup(d3)) == 3

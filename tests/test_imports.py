@@ -1,5 +1,6 @@
-"""Package layout: modules share helpers through public names only, and no
-check in the package is an assert, which python -O strips."""
+"""Package layout: modules share helpers through public names only, no
+check in the package is an assert, which python -O strips, and no new
+process-wide dict or lru_cache holds state between calls."""
 
 import ast
 from pathlib import Path
@@ -54,3 +55,47 @@ def test_require_messages_are_string_literals():
         or not (isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str))
     ]
     assert calls and not found, found
+
+
+# Process-wide state that outlives a call: the two catalog caches, the
+# theorem registry and the two memoised group searches.  Any other memo
+# lives inside the call that fills it, so no result depends on call history.
+MODULE_STATE = {
+    "enumeration.py:_GROUPS_CACHE",
+    "enumeration.py:_CATALOG_CACHE",
+    "verify.py:THEOREMS",
+    "groups.py:_automorphisms_cached",
+    "groups.py:canonical_form",
+}
+
+DICT_FACTORIES = {"dict", "defaultdict", "OrderedDict", "Counter"}
+CACHE_DECORATORS = {"lru_cache", "cache"}
+
+
+def _name(node):
+    """The bare name of a Name, an Attribute or a Call of either."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_no_new_module_level_dicts_or_lru_caches():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+                isinstance(node.value, (ast.Dict, ast.DictComp))
+                or _name(node.value) in DICT_FACTORIES
+            ):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [f"{path.name}:{_name(t)}" for t in targets]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                _name(d) in CACHE_DECORATORS for d in node.decorator_list
+            ):
+                found.append(f"{path.name}:{node.name}")
+    new = sorted(set(found) - MODULE_STATE)
+    assert found and not new, new
