@@ -155,20 +155,19 @@ def check_monotonicity(entries: CatalogEntries, scope: str) -> TheoremVerdict:
 
     for cid, B in entries:
         pb = commuting_probability(B)
-        subs = [(S, classify_subset(B, S)) for S in sub_braces(B)]
-        sub_pbs = []
-        for members, kind in subs:
+        ideals = []  # (N, Pb(N)) in sub_braces order
+        for members in sub_braces(B):
             checked += 1
+            kind = classify_subset(B, members)
             ph = pb_of(*induced_tables(B, members, kind))
-            sub_pbs.append(ph)
             idx = B.n // len(members)
             if pb > ph:
                 violations.append((cid, f"Pb(B) > Pb(H) for H = {members}"))
             if len(members) < B.n and not ph / (idx * idx) < pb:
                 violations.append((cid, f"index-squared bound fails for {members}"))
-        for (members, kind), pn in zip(subs, sub_pbs):
-            if not kind.is_ideal:
-                continue
+            if kind.is_ideal:
+                ideals.append((members, ph))
+        for members, pn in ideals:
             checked += 1
             add_q, mul_q, _ = quotient_tables(B, members)
             if pb > pn * pb_of(add_q, mul_q):
