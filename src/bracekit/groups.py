@@ -330,20 +330,12 @@ def quotient_table(G: GroupTable, H: Iterable[int]) -> tuple[np.ndarray, tuple[i
     members = set(H)
     if not is_normal(G, members):
         raise NotNormal(f"subgroup {sorted(members)} is not normal")
-    coset_of: dict[int, int] = {}
-    reps = []
-    for x in range(G.n):
-        if x in coset_of:
-            continue
-        coset = sorted(G.op[x][h] for h in members)
-        for y in coset:
-            coset_of[y] = len(reps)
-        reps.append(coset[0])
-    order = sorted(range(len(reps)), key=lambda i: reps[i])
-    relabel = {old: new for new, old in enumerate(order)}
-    cmap = tuple(relabel[coset_of[x]] for x in range(G.n))
-    reps = [reps[i] for i in order]
-    return np.array(cmap, dtype=np.int64)[G.np_op[np.ix_(reps, reps)]], cmap
+    # row x of np_op[:, H] is the coset xH, and x represents it if x is its least element
+    mins = G.np_op[:, sorted(members)].min(axis=1)
+    is_rep = mins == np.arange(G.n)
+    reps = np.flatnonzero(is_rep)
+    cmap = (np.cumsum(is_rep) - 1)[mins]
+    return cmap[G.np_op[np.ix_(reps, reps)]], tuple(cmap.tolist())
 
 
 def generators(op: Sequence[Sequence[int]]) -> ElementSet:
@@ -669,45 +661,52 @@ def regular_subgroups(hol: Holomorph) -> list[ElementSet]:
     """All order-n subgroups of Hol acting regularly on 0..n-1, as sorted
     tuples of indices into hol.perms.
 
-    Only fixed-point-free elements with uniform cycle length dividing n can
-    sit in a semiregular subgroup, which prunes the generator search hard; a
-    semiregular subgroup of full order n is automatically transitive.  The
-    search composes only these candidates, in a table over the identity, the
-    candidates and one absorbing sink label for every other product: a
-    closure that reaches the sink holds a non-candidate and is rejected.
+    Only the identity and the fixed-point-free elements with uniform cycle
+    length dividing n (the candidates) can sit in a semiregular subgroup T,
+    held as a dict from image of 0 to member.  T is extended by each
+    candidate sending 0 to m, the least point outside T's orbit of 0: a
+    regular N containing T holds exactly one, so each N is reached along
+    one path.  A semiregular subgroup of order n is regular.
     """
     n = hol.group.n
-    index = [0] + [
-        g
-        for g in range(1, len(hol.perms))
-        if (L := _uniform_cycle_length(hol.perms[g])) is not None and n % L == 0
-    ]
-    C = np.array([hol.perms[g] for g in index])
-    sink = len(index)
-    slot = {c.tobytes(): s for s, c in enumerate(C)}
-    # row a, column b: the slot of C[a] o C[b], or the sink
-    table = [[slot.get(p.tobytes(), sink) for p in C[a][C]] + [sink] for a in range(sink)]
-    table.append([sink] * (sink + 1))
-    results: set[ElementSet] = set()
-    seen: set[ElementSet] = set()
+    index = {hol.perms[0]: 0}
+    by_image: list[list[Bijection]] = [[] for _ in range(n)]
+    for g, perm in enumerate(hol.perms[1:], start=1):
+        if (L := _uniform_cycle_length(perm)) is not None and n % L == 0:
+            index[perm] = g
+            by_image[perm[0]].append(perm)
+    results: list[ElementSet] = []
 
-    def extend(S: ElementSet, last: int) -> None:
-        for g in range(last + 1, sink):
-            # the closure holds every g o s with s in S: one sink rejects g at once
-            if g in S or any(table[g][s] == sink for s in S):
-                continue
-            T = closure((table,), S + (g,), cap=n)
-            if T is None or sink in T or T in seen:
-                continue
-            seen.add(T)
-            if len(T) == n:
-                results.add(T)
-            elif n % len(T) == 0:
-                extend(T, g)
+    def extend(T: dict[int, Bijection]) -> None:
+        if len(T) == n:
+            results.append(tuple(sorted(index[p] for p in T.values())))
+            return
+        m = next(x for x in range(n) if x not in T)
+        for g in by_image[m]:
+            U = _semiregular_closure(T, g, index)
+            if U is not None:
+                extend(U)
 
-    if n == 1:
-        results.add((0,))
-    else:
-        extend((0,), 0)
-    del extend  # extend refers to itself: free it and the table now, not at the next gc
-    return sorted(tuple(index[s] for s in T) for T in results)
+    extend({0: hol.perms[0]})
+    del extend  # extend refers to itself: free it and the candidates now, not at the next gc
+    return sorted(results)
+
+
+def _semiregular_closure(T: dict[int, Bijection], g: Bijection, candidates: dict) -> Optional[dict]:
+    """The group generated by the group T and g, keyed by image of 0; None
+    once a product is not in candidates or shares its image of 0 with another
+    member.  Each new member is composed both ways with every member present."""
+    U = {**T, g[0]: g}
+    work = [g]
+    for x in work:
+        for y in list(U.values()):
+            for p in (tuple(map(x.__getitem__, y)), tuple(map(y.__getitem__, x))):
+                held = U.get(p[0])
+                if held is None:
+                    if p not in candidates:
+                        return None
+                    U[p[0]] = p
+                    work.append(p)
+                elif held != p:
+                    return None
+    return U

@@ -36,6 +36,7 @@ from bracekit.groups import (
     klein_four_group,
     quaternion_group,
     quotient_group,
+    quotient_table,
     regular_subgroups,
     relabel,
     subgroup_closure,
@@ -127,6 +128,48 @@ def test_quotient_of_quaternion_by_center():
     assert Q.n == 4
     assert set(Q.element_orders) <= {1, 2}
     assert len(set(cmap)) == 4
+
+
+def _quotient_table_reference(G, H):
+    """The coset loop quotient_table replaced: each coset xH built and sorted
+    in turn, labelled by the rank of its least element."""
+    members = set(H)
+    coset_of, reps = {}, []
+    for x in range(G.n):
+        if x in coset_of:
+            continue
+        coset = sorted(G.op[x][h] for h in members)
+        for y in coset:
+            coset_of[y] = len(reps)
+        reps.append(coset[0])
+    order = sorted(range(len(reps)), key=lambda i: reps[i])
+    relabel = {old: new for new, old in enumerate(order)}
+    cmap = tuple(relabel[coset_of[x]] for x in range(G.n))
+    reps = [reps[i] for i in order]
+    return np.array(cmap, dtype=np.int64)[G.np_op[np.ix_(reps, reps)]], cmap
+
+
+def _all_subgroups(G):
+    """Every subgroup of G: joins of the trivial subgroup with one element
+    at a time, to a fixpoint."""
+    found, work = {(0,)}, [(0,)]
+    for H in work:
+        for x in range(G.n):
+            K = subgroup_closure(G, H + (x,))
+            if K not in found:
+                found.add(K)
+                work.append(K)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_quotient_table_matches_coset_loop(n):
+    for G in groups_of_order(n, cap=12):
+        for H in filter(lambda H: is_normal(G, H), _all_subgroups(G)):
+            table, cmap = quotient_table(G, H)
+            ref_table, ref_cmap = _quotient_table_reference(G, H)
+            assert table.dtype == ref_table.dtype
+            assert np.array_equal(table, ref_table) and cmap == ref_cmap
 
 
 def test_commuting_probability_values():
@@ -280,9 +323,10 @@ def test_holomorph_table_composes_sorted_permutations(G):
 
 
 def _regular_subgroups_reference(G):
-    """The search regular_subgroups replaced: the full Cayley table of Hol(G)
-    on its sorted permutations, with compositions found by np.searchsorted on
-    the permutations' big-endian bytes, and candidate sets closed in it."""
+    """An independent search: the full Cayley table of Hol(G) on its sorted
+    permutations, with compositions found by np.searchsorted on the
+    permutations' big-endian bytes, and each candidate set grown by one
+    candidate at a time and closed in that table by groups.closure."""
     n = G.n
     auts = automorphism_group(G)
     perms = sorted({tuple(G.op[a][phi[x]] for x in range(n)) for a in range(n) for phi in auts})
@@ -329,10 +373,24 @@ HOLOMORPH_GROUPS = [
 ] + [(17, 0)]
 
 
+def _assert_regular_subgroups_match_reference(G):
+    found = regular_subgroups(holomorph(G))
+    assert len(set(found)) == len(found)  # each subgroup is reached once
+    assert found == _regular_subgroups_reference(G)
+
+
 @pytest.mark.parametrize("n,index", HOLOMORPH_GROUPS)
 def test_regular_subgroups_match_table_reference(n, index):
-    G = groups_of_order(n, cap=17)[index]
-    assert regular_subgroups(holomorph(G)) == _regular_subgroups_reference(G)
+    _assert_regular_subgroups_match_reference(groups_of_order(n, cap=17)[index])
+
+
+@pytest.mark.parametrize(
+    "G",
+    [cyclic_group(16), direct_product_group(cyclic_group(8), cyclic_group(2))],
+    ids=["Z16", "Z8xZ2"],
+)
+def test_regular_subgroups_match_table_reference_order_16(G):
+    _assert_regular_subgroups_match_reference(G)
 
 
 def test_regular_subgroups_memory_stays_small():
@@ -349,6 +407,21 @@ def test_regular_subgroups_memory_stays_small():
     assert len(hol.perms) == 1344
     assert len(found) == 232
     assert peak < 16 * 2**20
+
+
+def test_regular_subgroups_of_z4_z4_compose_lazily():
+    # Hol(Z4 x Z4) has 1536 elements, 645 of them candidates: a table of
+    # candidate products peaked at 4.1 MiB; the table reference agrees on
+    # the 880 subgroups but takes too long for this suite
+    hol = holomorph(direct_product_group(cyclic_group(4), cyclic_group(4)))
+    tracemalloc.start()
+    try:
+        found = regular_subgroups(hol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 880
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize(
