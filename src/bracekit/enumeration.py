@@ -128,94 +128,6 @@ def groups_of_order(n: int, cap: Optional[int] = None) -> list[GroupTable]:
     return list(out)
 
 
-def all_group_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every Cayley table on 0..n-1 with identity 0 that forms a group.
-
-    Independent cross-check for groups_of_order: backtracking over cells with
-    Latin-square masks and associativity propagation, plus a full
-    associativity re-check on completion.
-    """
-    if n == 1:
-        yield ((0,),)
-        return
-    op = [[-1] * n for _ in range(n)]
-    for j in range(n):
-        op[0][j] = j
-    for i in range(n):
-        op[i][0] = i
-    row_free = [set(range(n)) - {i} - {0} if i else set() for i in range(n)]
-    col_free = [set(range(n)) - {j} - {0} if j else set() for j in range(n)]
-    for i in range(1, n):
-        row_free[i] = set(range(n)) - set(op[i][j] for j in range(n) if op[i][j] != -1)
-        col_free[i] = set(range(n)) - set(op[a][i] for a in range(n) if op[a][i] != -1)
-    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
-
-    def assign(i: int, j: int, k: int, trail: list) -> bool:
-        queue = [(i, j, k)]
-        while queue:
-            a, b, v = queue.pop()
-            cur = op[a][b]
-            if cur != -1:
-                if cur != v:
-                    return False
-                continue
-            if v not in row_free[a] or v not in col_free[b]:
-                return False
-            op[a][b] = v
-            row_free[a].discard(v)
-            col_free[b].discard(v)
-            trail.append((a, b, v))
-            # (a.b).c = a.(b.c) with the new cell as the pair (a, b)
-            for c in range(n):
-                u = op[b][c]
-                if u == -1:
-                    continue
-                w1, w2 = op[v][c], op[a][u]
-                if w1 != -1 and w2 == -1:
-                    queue.append((a, u, w1))
-                elif w2 != -1 and w1 == -1:
-                    queue.append((v, c, w2))
-                elif w1 != -1 and w1 != w2:
-                    return False
-            # (x.a).b = x.(a.b) with the new cell as the pair (a, b)
-            for x in range(n):
-                u = op[x][a]
-                if u == -1:
-                    continue
-                w1, w2 = op[u][b], op[x][v]
-                if w1 != -1 and w2 == -1:
-                    queue.append((x, v, w1))
-                elif w2 != -1 and w1 == -1:
-                    queue.append((u, b, w2))
-                elif w1 != -1 and w1 != w2:
-                    return False
-        return True
-
-    def undo(trail: list, mark: int) -> None:
-        while len(trail) > mark:
-            a, b, v = trail.pop()
-            op[a][b] = -1
-            row_free[a].add(v)
-            col_free[b].add(v)
-
-    def search(trail: list) -> Iterator[tuple[tuple[int, ...], ...]]:
-        target = next(((i, j) for (i, j) in cells if op[i][j] == -1), None)
-        if target is None:
-            rows = as_rows(op)
-            arr = np.array(rows)
-            if (arr[arr] == arr[:, arr]).all():
-                yield rows
-            return
-        i, j = target
-        for k in sorted(row_free[i] & col_free[j]):
-            mark = len(trail)
-            if assign(i, j, k, trail):
-                yield from search(trail)
-            undo(trail, mark)
-
-    yield from search([])
-
-
 # -- skew brace catalogs -----------------------------------------------------
 
 
@@ -288,13 +200,12 @@ def skew_braces_of_order(
     return catalog
 
 
-def brute_force_oracle(n: int, cap: Optional[int] = None, side: str = "mul") -> BraceCatalog:
+def brute_force_oracle(n: int, cap: Optional[int] = None) -> BraceCatalog:
     """Catalog by raw bijection scan, with no holomorph machinery.
 
-    side='mul': for each additive group A and abstract group M, pull the
-    multiplication back along every identity-fixing bijection onto M and keep
-    the pairs satisfying skew left distributivity.  side='add' runs the
-    mirrored scan with the multiplicative table fixed instead.
+    For each additive group A and abstract group M, pull the multiplication
+    back along every identity-fixing bijection onto M and keep the pairs
+    satisfying skew left distributivity.
     """
     limit = resolve_cap(cap)
     if n > min(limit, 8):
@@ -308,15 +219,9 @@ def brute_force_oracle(n: int, cap: Optional[int] = None, side: str = "mul") -> 
             for per in itertools.permutations(range(1, n)):
                 f = np.array((0,) + per)
                 finv = np.argsort(f)
-                if side == "mul":
-                    pulled = finv[m_op[np.ix_(f, f)]]
-                    if not distributivity_failures(a_op, a_neg, pulled).any():
-                        raw.add(SkewBrace(n=n, add=A, mul=trusted_group(as_rows(pulled.tolist()))))
-                else:
-                    pulled = finv[a_op[np.ix_(f, f)]]
-                    neg = (pulled == 0).argmax(axis=1)
-                    if not distributivity_failures(pulled, neg, m_op).any():
-                        raw.add(SkewBrace(n=n, add=trusted_group(as_rows(pulled.tolist())), mul=M))
+                pulled = finv[m_op[np.ix_(f, f)]]
+                if not distributivity_failures(a_op, a_neg, pulled).any():
+                    raw.add(SkewBrace(n=n, add=A, mul=trusted_group(as_rows(pulled.tolist()))))
     braces = {canonical_brace(B) for B in raw}
     return _build_catalog(braces, n, "brute_force", limit)
 

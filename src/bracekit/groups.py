@@ -230,11 +230,10 @@ def center(G: GroupTable) -> ElementSet:
 def closure(
     tables: Sequence[Sequence[Sequence[int]]],
     S: Iterable[int],
-    cap: Optional[int] = None,
     actions: Sequence[Sequence[Sequence[int]]] = (),
-) -> Optional[ElementSet]:
+) -> ElementSet:
     """Smallest set containing 0 and S that is closed under every table and
-    every action, as a sorted tuple; None once it exceeds cap elements.
+    every action, as a sorted tuple.
 
     A table is a square table with identity 0, not necessarily a group;
     closure under it adds the products of members in both orders.  In a
@@ -245,7 +244,6 @@ def closure(
     members are combined with it in turn.
     """
     n = len((tables or actions)[0])
-    limit = n if cap is None else cap
     S = tuple(S)
     check_indices(n, *S)
     members = {0}
@@ -254,8 +252,6 @@ def closure(
         if s not in members:
             members.add(s)
             work.append(s)
-    if len(members) > limit:
-        return None
     for x in work:
         images = [z for act in actions for z in act[x]]
         for t in tables:
@@ -266,8 +262,6 @@ def closure(
             if z not in members:
                 members.add(z)
                 work.append(z)
-                if len(members) > limit:
-                    return None
     return tuple(sorted(members))
 
 
@@ -579,41 +573,17 @@ def dihedral_group(m: int) -> GroupTable:
 
 
 def quaternion_group() -> GroupTable:
-    """Q8 with elements 1, -1, i, -i, j, -j, k, -k as indices 0..7."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    """Q8 with elements 1, -1, i, -i, j, -j, k, -k as indices 0..7: unit
+    u (1, i, j, k as 0..3) and sign bit s at index 2u + s."""
 
-    def mul_name(a: str, b: str) -> str:
-        def split(x: str) -> tuple[int, str]:
-            return (-1, x[1:]) if x.startswith("-") else (1, x)
+    def mul(a: int, b: int) -> int:
+        u, v = a >> 1, b >> 1
+        # units multiply as u ^ v (ij = k, jk = i, ki = j); the sign of a
+        # product of i, j, k flips unless v follows u in the cycle i -> j -> k
+        neg = u and v and (v - u) % 3 != 1
+        return 2 * (u ^ v) + ((a ^ b) & 1 ^ neg)
 
-        sa, ua = split(a)
-        sb, ub = split(b)
-        base = {
-            ("1", "1"): (1, "1"),
-            ("1", "i"): (1, "i"),
-            ("1", "j"): (1, "j"),
-            ("1", "k"): (1, "k"),
-            ("i", "1"): (1, "i"),
-            ("j", "1"): (1, "j"),
-            ("k", "1"): (1, "k"),
-            ("i", "i"): (-1, "1"),
-            ("j", "j"): (-1, "1"),
-            ("k", "k"): (-1, "1"),
-            ("i", "j"): (1, "k"),
-            ("j", "i"): (-1, "k"),
-            ("j", "k"): (1, "i"),
-            ("k", "j"): (-1, "i"),
-            ("k", "i"): (1, "j"),
-            ("i", "k"): (-1, "j"),
-        }
-        s, u = base[(ua, ub)]
-        s *= sa * sb
-        return u if s == 1 else "-" + u
-
-    idx = {name: i for i, name in enumerate(names)}
-    return validate_group(
-        [[idx[mul_name(a, b)] for b in names] for a in names]
-    )
+    return validate_group([[mul(a, b) for b in range(8)] for a in range(8)])
 
 
 # -- holomorph and regular subgroups ----------------------------------------
@@ -662,8 +632,9 @@ def regular_subgroups(hol: Holomorph) -> list[ElementSet]:
     tuples of indices into hol.perms.
 
     Only the identity and the fixed-point-free elements with uniform cycle
-    length dividing n (the candidates) can sit in a semiregular subgroup T,
-    held as a dict from image of 0 to member.  T is extended by each
+    length (the candidates) can sit in a semiregular subgroup T, held as a
+    dict from image of 0 to member.  A uniform cycle length L always divides
+    n, since the n points fall into n/L cycles.  T is extended by each
     candidate sending 0 to m, the least point outside T's orbit of 0: a
     regular N containing T holds exactly one, so each N is reached along
     one path.  A semiregular subgroup of order n is regular.
@@ -672,7 +643,7 @@ def regular_subgroups(hol: Holomorph) -> list[ElementSet]:
     index = {hol.perms[0]: 0}
     by_image: list[list[Bijection]] = [[] for _ in range(n)]
     for g, perm in enumerate(hol.perms[1:], start=1):
-        if (L := _uniform_cycle_length(perm)) is not None and n % L == 0:
+        if _uniform_cycle_length(perm) is not None:
             index[perm] = g
             by_image[perm[0]].append(perm)
     results: list[ElementSet] = []
@@ -695,7 +666,12 @@ def regular_subgroups(hol: Holomorph) -> list[ElementSet]:
 def _semiregular_closure(T: dict[int, Bijection], g: Bijection, candidates: dict) -> Optional[dict]:
     """The group generated by the group T and g, keyed by image of 0; None
     once a product is not in candidates or shares its image of 0 with another
-    member.  Each new member is composed both ways with every member present."""
+    member.  Each new member is composed both ways with every member present.
+
+    This stays apart from closure: Hol has no Cayley table for closure to
+    run on, its members are permutations composed here and looked up by
+    their image of 0, and a candidate is rejected at its first bad product
+    rather than after the whole group is built."""
     U = {**T, g[0]: g}
     work = [g]
     for x in work:

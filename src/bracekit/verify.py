@@ -294,13 +294,11 @@ def check_isoclinism_invariance(entries: CatalogEntries, scope: str) -> TheoremV
     return _verdict("isoclinism-invariance", scope, checked, violations, notes)
 
 
-def check_cyclic_formula(entries: CatalogEntries, scope: str, orders=None) -> TheoremVerdict:
+def check_cyclic_formula(entries: CatalogEntries, scope: str) -> TheoremVerdict:
     """gcd-sum formula equals the pair-count probability for every valid (n, d)."""
-    if orders is None:
-        orders = sorted({B.n for _, B in entries})
     violations = []
     checked = 0
-    for n in orders:
+    for n in sorted({B.n for _, B in entries}):
         rad = prod(prime_divisors(n))
         for d in range(1, n + 1):
             if n % d != 0 or d % rad != 0:

@@ -231,6 +231,24 @@ def test_sub_braces_and_ideals_of_cyclic_example():
     assert ideals(B) == [(0,), (0, 2), (0, 1, 2, 3)]
 
 
+def _sub_braces_reference(B):
+    """Every subset containing 0 that is closed under both operations (so,
+    being finite, a subgroup of both), in the order sub_braces returns."""
+    found = []
+    for mask in range(1 << (B.n - 1)):
+        S = (0,) + tuple(x for x in range(1, B.n) if mask >> (x - 1) & 1)
+        members = set(S)
+        if all(B.add.op[a][b] in members and B.mul.op[a][b] in members for a in S for b in S):
+            found.append(S)
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+def test_sub_braces_match_subset_scan():
+    assert len(BRACES) == 62
+    for B in BRACES:
+        assert sub_braces(B) == _sub_braces_reference(B)
+
+
 def test_quotient_brace_cosets_agree():
     B = opposite_brace(quaternion_group())
     Q, cmap = quotient_brace(B, annihilator(B))

@@ -4,7 +4,8 @@ The references below are the routines closure replaced: a capped frontier
 closure under a multiplication callback (once used by regular_subgroups), a
 worklist subgroup closure that also adds inverses, and a snapshot fixpoint
 over a list of rule generators (once behind sub_brace_closure and
-ideal_closure).
+ideal_closure).  The capped form of closure itself lives in test_groups.py
+beside the regular-subgroup table search that calls it.
 """
 
 from functools import lru_cache
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from bracekit.braces import ideal_closure, sub_brace_closure
 from bracekit.enumeration import groups_of_order, skew_braces_of_order
 from bracekit.groups import closure, holomorph, subgroup_closure
+
+from test_groups import _capped_closure
 
 GROUPS = [G for n in range(1, 9) for G in groups_of_order(n)]
 BRACES = [e.brace for n in range(1, 9) for e in skew_braces_of_order(n).entries]
@@ -151,7 +154,7 @@ def test_capped_closure_on_holomorphs(data):
     i = data.draw(st.integers(0, len(GROUPS) - 1))
     (op, table), n = _holomorph_table(i), GROUPS[i].n
     S = _subset(data, len(op))
-    got = closure((op,), S, cap=n)
+    got = _capped_closure((op,), S, cap=n)
     full = _numpy_closure(table, S)
     assert (got is None) == (len(full) > n)
     if got is not None:

@@ -1,14 +1,25 @@
 """Catalog generation: group counts, brace counts, oracle agreement, JSONL."""
 
 import hashlib
+import itertools
+from typing import Iterator
 
+import numpy as np
 import pytest
 
 from bracekit import enumeration
-from bracekit.braces import brace_isomorphisms, cyclic_brace, is_brace_isomorphic, opposite_brace, validate_skew_brace
+from bracekit.braces import (
+    SkewBrace,
+    brace_isomorphisms,
+    canonical_brace,
+    cyclic_brace,
+    distributivity_failures,
+    is_brace_isomorphic,
+    opposite_brace,
+    validate_skew_brace,
+)
 from bracekit.enumeration import (
     _cyclic_extensions,
-    all_group_tables,
     brute_force_oracle,
     catalog_from_jsonl,
     catalog_manifest,
@@ -20,15 +31,105 @@ from bracekit.enumeration import (
 )
 from bracekit.errors import OrderCapExceeded, ParseError
 from bracekit.groups import (
+    as_rows,
     cyclic_group,
     is_isomorphic,
     klein_four_group,
     quaternion_group,
+    trusted_group,
     validate_group,
 )
 
 GROUP_COUNTS = [1, 1, 1, 2, 1, 2, 1, 5]
 BRACE_COUNTS = [1, 1, 1, 4, 1, 6, 1, 47]
+
+
+def all_group_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every Cayley table on 0..n-1 with identity 0 that forms a group.
+
+    Independent cross-check for groups_of_order: backtracking over cells with
+    Latin-square masks and associativity propagation, plus a full
+    associativity re-check on completion.
+    """
+    if n == 1:
+        yield ((0,),)
+        return
+    op = [[-1] * n for _ in range(n)]
+    for j in range(n):
+        op[0][j] = j
+    for i in range(n):
+        op[i][0] = i
+    row_free = [set(range(n)) - {i} - {0} if i else set() for i in range(n)]
+    col_free = [set(range(n)) - {j} - {0} if j else set() for j in range(n)]
+    for i in range(1, n):
+        row_free[i] = set(range(n)) - set(op[i][j] for j in range(n) if op[i][j] != -1)
+        col_free[i] = set(range(n)) - set(op[a][i] for a in range(n) if op[a][i] != -1)
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def assign(i: int, j: int, k: int, trail: list) -> bool:
+        queue = [(i, j, k)]
+        while queue:
+            a, b, v = queue.pop()
+            cur = op[a][b]
+            if cur != -1:
+                if cur != v:
+                    return False
+                continue
+            if v not in row_free[a] or v not in col_free[b]:
+                return False
+            op[a][b] = v
+            row_free[a].discard(v)
+            col_free[b].discard(v)
+            trail.append((a, b, v))
+            # (a.b).c = a.(b.c) with the new cell as the pair (a, b)
+            for c in range(n):
+                u = op[b][c]
+                if u == -1:
+                    continue
+                w1, w2 = op[v][c], op[a][u]
+                if w1 != -1 and w2 == -1:
+                    queue.append((a, u, w1))
+                elif w2 != -1 and w1 == -1:
+                    queue.append((v, c, w2))
+                elif w1 != -1 and w1 != w2:
+                    return False
+            # (x.a).b = x.(a.b) with the new cell as the pair (a, b)
+            for x in range(n):
+                u = op[x][a]
+                if u == -1:
+                    continue
+                w1, w2 = op[u][b], op[x][v]
+                if w1 != -1 and w2 == -1:
+                    queue.append((x, v, w1))
+                elif w2 != -1 and w1 == -1:
+                    queue.append((u, b, w2))
+                elif w1 != -1 and w1 != w2:
+                    return False
+        return True
+
+    def undo(trail: list, mark: int) -> None:
+        while len(trail) > mark:
+            a, b, v = trail.pop()
+            op[a][b] = -1
+            row_free[a].add(v)
+            col_free[b].add(v)
+
+    def search(trail: list) -> Iterator[tuple[tuple[int, ...], ...]]:
+        target = next(((i, j) for (i, j) in cells if op[i][j] == -1), None)
+        if target is None:
+            rows = as_rows(op)
+            arr = np.array(rows)
+            if (arr[arr] == arr[:, arr]).all():
+                yield rows
+            return
+        i, j = target
+        for k in sorted(row_free[i] & col_free[j]):
+            mark = len(trail)
+            if assign(i, j, k, trail):
+                yield from search(trail)
+            undo(trail, mark)
+
+    yield from search([])
 
 
 def test_group_counts():
@@ -110,12 +211,31 @@ def test_oracle_matches_holomorph_method():
         assert key(holo) == key(brute)
 
 
+def _add_side_oracle_reference(n):
+    """The mirrored bijection scan: for each additive group A and abstract
+    group M, pull the addition back along every identity-fixing bijection
+    onto A, keep the pairs satisfying skew left distributivity, and return
+    their canonical (add, mul) tables in catalog order."""
+    groups = groups_of_order(n)
+    raw = set()
+    for A in groups:
+        a_op = A.np_op
+        for M in groups:
+            m_op = M.np_op
+            for per in itertools.permutations(range(1, n)):
+                f = np.array((0,) + per)
+                finv = np.argsort(f)
+                pulled = finv[a_op[np.ix_(f, f)]]
+                neg = (pulled == 0).argmax(axis=1)
+                if not distributivity_failures(pulled, neg, m_op).any():
+                    raw.add(SkewBrace(n=n, add=trusted_group(as_rows(pulled.tolist())), mul=M))
+    return sorted((B.add.op, B.mul.op) for B in {canonical_brace(B) for B in raw})
+
+
 def test_oracle_add_side_scan_agrees():
     for n in (4, 6):
-        mul_side = brute_force_oracle(n, side="mul")
-        add_side = brute_force_oracle(n, side="add")
-        key = lambda c: [(e.brace.add.op, e.brace.mul.op) for e in c.entries]
-        assert key(mul_side) == key(add_side)
+        mul_side = brute_force_oracle(n)
+        assert [(e.brace.add.op, e.brace.mul.op) for e in mul_side.entries] == _add_side_oracle_reference(n)
 
 
 def test_serialization_round_trip():

@@ -4,6 +4,7 @@ import gc
 import itertools
 import tracemalloc
 from fractions import Fraction
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bracekit.enumeration import groups_of_order
-from bracekit.errors import IdentityNotZero, NotAssociative, NotLatinSquare
+from bracekit.errors import IdentityNotZero, NotAssociative, NotLatinSquare, check_indices
 from bracekit.groups import (
+    ElementSet,
+    GroupTable,
     _automorphisms_cached,
     _uniform_cycle_length,
     as_rows,
@@ -20,7 +23,6 @@ from bracekit.groups import (
     canonical_form,
     center,
     centralizer,
-    closure,
     commutator_subgroup,
     conjugacy_class_sizes,
     cyclic_group,
@@ -93,6 +95,49 @@ def test_quaternion_structure():
     assert sorted(q8.element_orders) == [1, 2, 4, 4, 4, 4, 4, 4]
     assert not q8.is_abelian
     assert commutator_subgroup(q8) == (0, 1)
+
+
+# quaternion_group as first written: products by unit name and sign
+def _quaternion_group_reference() -> GroupTable:
+    """Q8 with elements 1, -1, i, -i, j, -j, k, -k as indices 0..7."""
+    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+
+    def mul_name(a: str, b: str) -> str:
+        def split(x: str) -> tuple[int, str]:
+            return (-1, x[1:]) if x.startswith("-") else (1, x)
+
+        sa, ua = split(a)
+        sb, ub = split(b)
+        base = {
+            ("1", "1"): (1, "1"),
+            ("1", "i"): (1, "i"),
+            ("1", "j"): (1, "j"),
+            ("1", "k"): (1, "k"),
+            ("i", "1"): (1, "i"),
+            ("j", "1"): (1, "j"),
+            ("k", "1"): (1, "k"),
+            ("i", "i"): (-1, "1"),
+            ("j", "j"): (-1, "1"),
+            ("k", "k"): (-1, "1"),
+            ("i", "j"): (1, "k"),
+            ("j", "i"): (-1, "k"),
+            ("j", "k"): (1, "i"),
+            ("k", "j"): (-1, "i"),
+            ("k", "i"): (1, "j"),
+            ("i", "k"): (-1, "j"),
+        }
+        s, u = base[(ua, ub)]
+        s *= sa * sb
+        return u if s == 1 else "-" + u
+
+    idx = {name: i for i, name in enumerate(names)}
+    return validate_group(
+        [[idx[mul_name(a, b)] for b in names] for a in names]
+    )
+
+
+def test_quaternion_index_arithmetic_matches_named_units():
+    assert quaternion_group().op == _quaternion_group_reference().op
 
 
 def test_commutator_table_and_subgroup_match_the_scalar_formula():
@@ -322,11 +367,56 @@ def test_holomorph_table_composes_sorted_permutations(G):
     assert all(tuple(g[x] for x in h) in perms for g in hol.perms for h in hol.perms)
 
 
+# groups.closure as it was with a cap, kept for the table search below
+def _capped_closure(
+    tables: Sequence[Sequence[Sequence[int]]],
+    S: Iterable[int],
+    cap: Optional[int] = None,
+    actions: Sequence[Sequence[Sequence[int]]] = (),
+) -> Optional[ElementSet]:
+    """Smallest set containing 0 and S that is closed under every table and
+    every action, as a sorted tuple; None once it exceeds cap elements.
+
+    A table is a square table with identity 0, not necessarily a group;
+    closure under it adds the products of members in both orders.  In a
+    finite group that is the generated subgroup, since inverses are positive
+    powers.  An action lists in row x the elements that must join whenever
+    x does, e.g. its conjugates.  Worklist fixpoint: each new member is
+    combined once with every member present when it is taken up, and later
+    members are combined with it in turn.
+    """
+    n = len((tables or actions)[0])
+    limit = n if cap is None else cap
+    S = tuple(S)
+    check_indices(n, *S)
+    members = {0}
+    work = []
+    for s in S:
+        if s not in members:
+            members.add(s)
+            work.append(s)
+    if len(members) > limit:
+        return None
+    for x in work:
+        images = [z for act in actions for z in act[x]]
+        for t in tables:
+            row = t[x]
+            images += [row[y] for y in members]
+            images += [t[y][x] for y in members]
+        for z in images:
+            if z not in members:
+                members.add(z)
+                work.append(z)
+                if len(members) > limit:
+                    return None
+    return tuple(sorted(members))
+
+
 def _regular_subgroups_reference(G):
     """An independent search: the full Cayley table of Hol(G) on its sorted
     permutations, with compositions found by np.searchsorted on the
     permutations' big-endian bytes, and each candidate set grown by one
-    candidate at a time and closed in that table by groups.closure."""
+    candidate at a time and closed in that table by _capped_closure."""
     n = G.n
     auts = automorphism_group(G)
     perms = sorted({tuple(G.op[a][phi[x]] for x in range(n)) for a in range(n) for phi in auts})
@@ -350,7 +440,7 @@ def _regular_subgroups_reference(G):
         for g in candidates:
             if g <= last or g in S:
                 continue
-            T = closure((op,), S + (g,), cap=n)
+            T = _capped_closure((op,), S + (g,), cap=n)
             if T is None or not cand_set.issuperset(T[1:]) or T in seen:
                 continue
             seen.add(T)
