@@ -3,7 +3,7 @@ products, ideals, quotients, series and nilpotency."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -257,12 +257,7 @@ class StructureFlags:
     lambda_homomorphic: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "trivial": self.trivial,
-            "two_sided": self.two_sided,
-            "symmetric": self.symmetric,
-            "lambda_homomorphic": self.lambda_homomorphic,
-        }
+        return asdict(self)
 
 
 def is_two_sided(B: SkewBrace) -> bool:

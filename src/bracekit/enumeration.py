@@ -98,7 +98,6 @@ def _fingerprint(G: GroupTable) -> tuple:
     return (
         tuple(sorted(G.element_orders)),
         conjugacy_class_sizes(G),
-        G.is_abelian,
     )
 
 
@@ -294,5 +293,8 @@ def catalog_from_jsonl(text: str) -> list[tuple[tuple[int, int], SkewBrace]]:
         except json.JSONDecodeError as exc:
             raise ParseError(str(exc)) from exc
         brace = brace_from_json_dict(obj)
-        out.append((tuple(obj.get("id", (0, 0))), brace))
+        cid = obj.get("id", [0, 0])
+        if not (isinstance(cid, list) and len(cid) == 2 and all(type(k) is int for k in cid)):
+            raise ParseError("catalog id must be a list of two integers")
+        out.append((tuple(cid), brace))
     return out

@@ -60,18 +60,20 @@ def induced_tables(
 
 
 def isoclinism_data(B: SkewBrace) -> IsoclinismData:
-    """Build the commutator maps over coset representatives and re-check
-    representative independence over every pair of elements."""
+    """Build the commutator maps by scattering every pair's value into its
+    coset-pair cell, and re-check representative independence by reading the
+    maps back at every pair of elements."""
     quotient, cmap = quotient_brace(B, annihilator(B))
     g2 = gamma2(B)
     g2_brace = induced_brace(B, g2)
     rank = np.zeros(B.n, dtype=np.int64)  # the index of each member of Gamma_2
     rank[list(g2)] = np.arange(len(g2))
     coset = np.array(cmap)
-    reps = np.unique(coset, return_index=True)[1]  # least element of each coset
-    plus, star = rank[B.gamma_plus_table], rank[B.star_table]
-    phi_plus, phi_star = plus[np.ix_(reps, reps)], star[np.ix_(reps, reps)]
     pairs = (coset[:, None], coset[None, :])
+    plus, star = rank[B.gamma_plus_table], rank[B.star_table]
+    phi_plus = np.empty((quotient.n, quotient.n), dtype=np.int64)
+    phi_star = np.empty_like(phi_plus)
+    phi_plus[pairs], phi_star[pairs] = plus, star
     require(
         (phi_plus[pairs] == plus).all() and (phi_star[pairs] == star).all(),
         "commutator maps depend on the coset representatives",
@@ -96,19 +98,6 @@ class IsoclinismWitness:
         return {"xi": list(self.xi), "theta": list(self.theta)}
 
 
-def _diagram_commutes(
-    dA: IsoclinismData, dB: IsoclinismData, xi: Sequence[int], theta: Sequence[int]
-) -> bool:
-    m = dA.quotient.n
-    for i in range(m):
-        for j in range(m):
-            if theta[dA.phi_plus[i][j]] != dB.phi_plus[xi[i]][xi[j]]:
-                return False
-            if theta[dA.phi_star[i][j]] != dB.phi_star[xi[i]][xi[j]]:
-                return False
-    return True
-
-
 def are_isoclinic(A: SkewBrace, B: SkewBrace) -> Optional[IsoclinismWitness]:
     """First witness pair in canonical (lexicographic xi, then theta) order,
     or None when the braces are not isoclinic."""
@@ -121,17 +110,24 @@ def _witness(
     isos: Callable[[SkewBrace, SkewBrace], list[Bijection]],
 ) -> Optional[IsoclinismWitness]:
     """The first witness, with isos(A, B) giving the brace isomorphisms
-    A -> B in order."""
+    A -> B in order.  For each xi, one array comparison tests the diagram
+    theta . phi = phi' . (xi x xi), for phi_plus and phi_star, against every
+    theta at once."""
     if dA.quotient.n != dB.quotient.n or dA.gamma2.n != dB.gamma2.n:
         return None
     xis = isos(dA.quotient, dB.quotient)
-    if not xis:
+    thetas = isos(dA.gamma2, dB.gamma2) if xis else []
+    if not thetas:
         return None
-    thetas = isos(dA.gamma2, dB.gamma2)
+    T = np.array(thetas)
+    fA = np.array([dA.phi_plus, dA.phi_star])
+    fB = np.array([dB.phi_plus, dB.phi_star])
+    images = T[:, fA]  # images[t] is theta_t applied to both maps of A
     for xi in xis:
-        for theta in thetas:
-            if _diagram_commutes(dA, dB, xi, theta):
-                return IsoclinismWitness(xi=xi, theta=theta)
+        x = np.array(xi)
+        hits = np.flatnonzero((images == fB[:, x[:, None], x]).all(axis=(1, 2, 3)))
+        if hits.size:
+            return IsoclinismWitness(xi=xi, theta=thetas[hits[0]])
     return None
 
 
@@ -141,16 +137,12 @@ def is_stem(B: SkewBrace) -> bool:
 
 
 def isoclinism_classes(braces: Sequence[SkewBrace]) -> list[list[int]]:
-    """Partition indices into isoclinism classes by union-find over pairwise
-    witness searches."""
-    parent = list(range(len(braces)))
+    """Partition indices into isoclinism classes, in order of first member.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    Isoclinism is an equivalence relation, so a brace belongs to a class
+    exactly when it is isoclinic to the class's first member: each brace is
+    searched against one member per class, and starts a new class when no
+    search finds a witness."""
     # Many braces share their quotient and Gamma_2 tables, so each pair of
     # equal-valued braces is searched once per call.
     found: dict[tuple[SkewBrace, SkewBrace], list[Bijection]] = {}
@@ -161,13 +153,11 @@ def isoclinism_classes(braces: Sequence[SkewBrace]) -> list[list[int]]:
         return found[A, B]
 
     data = [isoclinism_data(b) for b in braces]
-    for i in range(len(braces)):
-        for j in range(i + 1, len(braces)):
-            if find(i) == find(j):
-                continue
-            if _witness(data[i], data[j], isos) is not None:
-                parent[find(j)] = find(i)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(braces)):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values())
+    classes: list[list[int]] = []
+    for i, d in enumerate(data):
+        cls = next((c for c in classes if _witness(data[c[0]], d, isos) is not None), None)
+        if cls is None:
+            classes.append([i])
+        else:
+            cls.append(i)
+    return classes

@@ -107,18 +107,14 @@ class BoundReport:
         }
 
 
-def _second_smallest_prime(n: int) -> Optional[int]:
-    ps = prime_divisors(n)
-    return ps[1] if len(ps) >= 2 else None
-
-
 def bound_report(B: SkewBrace) -> BoundReport:
     """Evaluate every commuting-probability bound whose hypotheses hold for B."""
     n = B.n
     pb = commuting_probability(B)
     ann = annihilator(B)
     d = n // len(ann)
-    p = prime_divisors(n)[0] if n > 1 else None
+    primes = prime_divisors(n)
+    p = primes[0] if primes else None
     verdicts: list[BoundVerdict] = []
 
     def add(name: str, applicable: bool, lhs=None, rhs=None, holds=None):
@@ -154,9 +150,9 @@ def bound_report(B: SkewBrace) -> BoundReport:
     else:
         add("lower-strict-centralizers", False)
 
-    # non-prime-power quotient refinement
-    q = _second_smallest_prime(n)
-    if p is not None and d > 1 and len(prime_divisors(d)) >= 2 and q is not None:
+    # non-prime-power quotient refinement; d divides n, so n has a second prime q
+    if len(prime_divisors(d)) >= 2:
+        q = primes[1]
         s = q if p * p > q else p * p
         rhs = (
             Fraction(1, p)
@@ -167,15 +163,14 @@ def bound_report(B: SkewBrace) -> BoundReport:
     else:
         add("upper-non-prime-power", False)
 
-    # trivial-annihilator prime-power refinement
+    # trivial-annihilator refinement for n = p^e, so p^(e+2) = n p^2, unless
+    # (B, o) is elementary abelian
     if (
-        p is not None
-        and len(prime_divisors(n)) == 1
+        len(primes) == 1
         and len(ann) == 1
-        and not _is_elementary_abelian(B)
+        and not (B.mul.is_abelian and set(B.mul.element_orders) <= {1, p})
     ):
-        exp = _p_exponent(n, p)
-        rhs = Fraction(1, p) + Fraction((p - 1) ** 2, p ** (exp + 2))
+        rhs = Fraction(1, p) + Fraction((p - 1) ** 2, n * p * p)
         add("upper-trivial-annihilator", True, pb, rhs, pb <= rhs)
     else:
         add("upper-trivial-annihilator", False)
@@ -198,26 +193,6 @@ def has_five_eighths_shape(B: SkewBrace) -> bool:
     """Whether [B:Ann] = 4 and |Cb(x)| = |B|/2 for every x outside Ann: the
     characterization of Pb = 5/8."""
     return B.n // len(annihilator(B)) == 4 and bool((2 * outer_centralizer_sizes(B) == B.n).all())
-
-
-def _is_elementary_abelian(B: SkewBrace) -> bool:
-    """Whether (B, o) is abelian with every non-identity element of prime order p."""
-    mul = B.mul
-    if not mul.is_abelian:
-        return False
-    primes = prime_divisors(B.n)
-    if len(primes) != 1:
-        return B.n == 1
-    p = primes[0]
-    return set(mul.element_orders) <= {1, p}
-
-
-def _p_exponent(n: int, p: int) -> int:
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
 
 
 class GapClass(enum.Enum):

@@ -281,11 +281,12 @@ def check_isoclinism_invariance(entries: CatalogEntries, scope: str) -> TheoremV
             violations.append(
                 (entries[cls[0]][0], "isoclinic braces with distinct |Gamma_2 n Ann|")
             )
-        if not any(is_stem(braces[i]) for i in cls):
+        stems = [is_stem(braces[i]) for i in cls]
+        if not any(stems):
             violations.append((entries[cls[0]][0], "class without a stem brace"))
         by_order: dict[int, set[bool]] = {}
-        for i in cls:
-            by_order.setdefault(braces[i].n, set()).add(is_stem(braces[i]))
+        for i, stem in zip(cls, stems):
+            by_order.setdefault(braces[i].n, set()).add(stem)
         if any(len(s) > 1 for s in by_order.values()):
             violations.append(
                 (entries[cls[0]][0], "equal-order members disagree on stem")

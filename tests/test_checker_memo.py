@@ -15,7 +15,7 @@ from bracekit.braces import (
     sub_braces,
 )
 from bracekit.enumeration import skew_braces_of_order
-from bracekit.isoclinism import induced_brace, isoclinism_classes, isoclinism_data
+from bracekit.isoclinism import _witness, induced_brace, isoclinism_classes, isoclinism_data
 from bracekit.probability import commuting_probability
 from bracekit.verify import TheoremVerdict, check_monotonicity
 
@@ -101,6 +101,18 @@ def _isoclinism_classes_reference(braces):
     return sorted(classes.values())
 
 
+def test_witness_matches_reference_on_every_ordered_pair():
+    # pins the chosen (xi, theta), not only whether one exists
+    data = [isoclinism_data(B) for _, B in _entries("holomorph", 8)]
+    isoclinic = 0
+    for dA in data:
+        for dB in data:
+            got = _witness(dA, dB, brace_isomorphisms)
+            assert (None if got is None else (got.xi, got.theta)) == _witness_reference(dA, dB)
+            isoclinic += got is not None
+    assert (len(data) ** 2, isoclinic) == (3844, 274)
+
+
 def _table_pb(B):
     """An arbitrary Pb-like value read from the tables alone, so that the
     bounds fail often and the violation lists are long."""
@@ -130,6 +142,13 @@ def test_monotonicity_violations_match_reference(monkeypatch, method, hi, bounds
 def test_isoclinism_classes_match_reference(method, hi):
     braces = [B for _, B in _entries(method, hi)]
     assert isoclinism_classes(braces) == _isoclinism_classes_reference(braces)
+
+
+def test_isoclinism_classes_match_reference_to_order_12():
+    braces = [e.brace for n in range(1, 13) for e in skew_braces_of_order(n, cap=12).entries]
+    classes = isoclinism_classes(braces)
+    assert classes == _isoclinism_classes_reference(braces)
+    assert (len(braces), len(classes)) == (111, 50)
 
 
 def _distinct_derived_tables(entries):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 from typing import Iterator
 
 import numpy as np
@@ -247,6 +248,18 @@ def test_serialization_round_trip():
         b.add.op == e.brace.add.op and b.mul.op == e.brace.mul.op
         for (_, b), e in zip(back, catalog.entries)
     )
+
+
+@pytest.mark.parametrize("cid", [5, "ab", [1], [1, "2"], [1, True]])
+def test_catalog_id_must_be_two_integers(cid):
+    line = json.dumps({"id": cid, "add": [[0]], "mul": [[0]]})
+    with pytest.raises(ParseError, match="two integers"):
+        catalog_from_jsonl(line)
+
+
+def test_catalog_id_defaults_to_zero_pair():
+    [(cid, B)] = catalog_from_jsonl('{"add": [[0]], "mul": [[0]]}')
+    assert cid == (0, 0) and B.n == 1
 
 
 def test_manifest_hash_matches_body():

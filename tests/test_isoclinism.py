@@ -101,7 +101,7 @@ def test_equivalence_relation_on_small_catalog():
         assert are_isoclinic(A, A) is not None
         for B in braces[i + 1 :]:
             assert (are_isoclinic(A, B) is None) == (are_isoclinic(B, A) is None)
-    # transitivity through the union-find partition
+    # transitivity: each class was built by searching against its first member only
     classes = isoclinism_classes(braces)
     for cls in classes:
         for i in cls:

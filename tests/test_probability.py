@@ -122,6 +122,39 @@ def test_bound_report_json_rationals_are_strings():
     )
 
 
+def _factor(n):
+    """{p: e} for n = prod p^e, by repeated division."""
+    out, p = {}, 2
+    while n > 1:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    return out
+
+
+def test_refined_upper_bounds_on_orders_up_to_12():
+    applicable = {"upper-trivial-annihilator": 0, "upper-non-prime-power": 0}
+    for n in range(1, 13):
+        exps = _factor(n)
+        for entry in skew_braces_of_order(n, cap=12).entries:
+            B = entry.brace
+            verdicts = {v.name: v for v in bound_report(B).verdicts}
+            v = verdicts["upper-trivial-annihilator"]
+            if v.applicable:
+                [(p, e)] = exps.items()
+                assert v.rhs == Fraction(1, p) + Fraction((p - 1) ** 2, p ** (e + 2))
+            v = verdicts["upper-non-prime-power"]
+            if v.applicable:
+                p, q = sorted(exps)[:2]
+                s = q if p * p > q else p * p
+                a = len(annihilator(B))
+                assert v.rhs == Fraction(1, p) + Fraction(a * (p - 1) - 1, p * n) + Fraction(1, s * n)
+            for name in applicable:
+                applicable[name] += verdicts[name].applicable
+    assert applicable == {"upper-trivial-annihilator": 2, "upper-non-prime-power": 44}
+
+
 def test_gap_classification():
     assert gap_classify(trivial_brace(cyclic_group(6))) is GapClass.ONE
     assert gap_classify(cyclic_brace(4, 2)) is GapClass.THREE_QUARTERS
