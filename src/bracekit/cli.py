@@ -83,11 +83,14 @@ def cmd_enumerate(args) -> int:
     body = catalog_to_jsonl(catalog)
     manifest = catalog_manifest(catalog)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(body)
-        with open(args.out + ".manifest.json", "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(body)
+            with open(args.out + ".manifest.json", "w") as fh:
+                json.dump(manifest, fh, sort_keys=True, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise ParseError(f"{args.out}: {exc}") from exc
         _emit(manifest)
     else:
         sys.stdout.write(body)

@@ -20,7 +20,9 @@ from .braces import (
 )
 from .errors import BraceKitError, OrderCapExceeded, ParseError, require
 from .groups import (
+    Bijection,
     GroupTable,
+    Holomorph,
     as_rows,
     automorphism_group,
     canonical_form,
@@ -150,18 +152,95 @@ class BraceCatalog:
         return [e.brace for e in self.entries]
 
 
+def _generating_set(auts: list[Bijection]) -> list[Bijection]:
+    """Generators of the permutation group auts (identity first): each element
+    is kept only if the group the kept ones generate lacks it, and the scan
+    stops once that group is all of auts.  The group grows as in
+    groups.generators: when g joins, the members so far are composed with g
+    alone, and each new member with every generator."""
+    members = [auts[0]]
+    reached = {auts[0]}
+    gens: list[Bijection] = []
+    for alpha in auts:
+        if len(members) == len(auts):
+            break
+        if alpha in reached:
+            continue
+        gens.append(alpha)
+        known = len(members)
+        for i, x in enumerate(members):  # members grows while it is walked
+            for g in gens if i >= known else gens[-1:]:
+                y = tuple(map(x.__getitem__, g))
+                if y not in reached:
+                    reached.add(y)
+                    members.append(y)
+    return gens
+
+
+def _conjugacy_orbits(
+    hol: Holomorph, gens: list[Bijection]
+) -> list[tuple[tuple[Bijection, ...], int]]:
+    """Orbits of the regular subgroups of hol under conjugation by the group
+    that gens generates, as (first subgroup, orbit size) in the order of
+    regular_subgroups.
+
+    A regular subgroup is held as its members sorted by image of 0, i.e. the
+    rows of its Cayley table (hol.perms is sorted).  Conjugation by alpha
+    sends member p to x -> alpha(p(alpha^-1(x))), which sends 0 to
+    alpha(p(0)), so row alpha^-1(b) of N becomes row b of its image.  Each
+    orbit is collected by a walk from its first subgroup along the
+    generators."""
+    conjugators = [(alpha, np.argsort(alpha).tolist()) for alpha in gens]
+    tables = [tuple(hol.perms[r] for r in R) for R in regular_subgroups(hol)]
+    todo = set(tables)
+    orbits = []
+    for first in tables:
+        if first not in todo:
+            continue
+        todo.remove(first)
+        orbit = [first]
+        for N in orbit:  # orbit grows while it is walked
+            for alpha, inv in conjugators:
+                rows = (map(alpha.__getitem__, map(N[i].__getitem__, inv)) for i in inv)
+                image = tuple(map(tuple, rows))
+                if image in todo:
+                    todo.remove(image)
+                    orbit.append(image)
+        orbits.append((first, len(orbit)))
+    return orbits
+
+
 def skew_braces_on(A: GroupTable, cap: Optional[int] = None) -> list[SkewBrace]:
     """All skew braces with additive group A up to brace isomorphism, via
     regular subgroups of the holomorph of A.  Returns canonical-form braces,
-    sorted by their tables."""
+    sorted by their tables.
+
+    By Guarnieri-Vendramin (Skew braces and the Yang-Baxter equation, Math.
+    Comp. 86, 2017, Prop. 4.3) the braces on A up to isomorphism are the
+    regular subgroups of Hol(A) up to conjugation by Aut(A), and the
+    stabiliser of a subgroup is Aut(B) of its brace B.  So one subgroup per
+    Aut(A)-orbit is validated and canonicalised, and two exact cross-checks
+    hold: orbit size times |Aut(B)| is |Aut(A)| (orbit-stabiliser), with
+    |Aut(B)| counted as the automorphisms of A that preserve B's
+    multiplication, and distinct orbits give distinct canonical braces.
+    """
     _check_cap(A.n, cap)
     hol = holomorph(A)
+    auts = automorphism_group(A)
     out = set()
-    for R in regular_subgroups(hol):
-        by_zero = {hol.perms[r][0]: r for r in R}
-        require(len(by_zero) == A.n, "regular subgroup does not act regularly")
-        mul_rows = tuple(hol.perms[by_zero[a]] for a in range(A.n))
-        out.add(canonical_brace(validate_skew_brace(A, validate_group(mul_rows))))
+    for mul_rows, size in _conjugacy_orbits(hol, _generating_set(auts)):
+        regular = all(row[0] == a for a, row in enumerate(mul_rows))
+        require(regular, "regular subgroup does not act regularly")
+        B = validate_skew_brace(A, validate_group(mul_rows))
+        mul = B.mul.np_op
+        stabiliser = 0
+        for alpha in auts:
+            m = np.array(alpha)
+            stabiliser += bool((m[mul] == mul[m[:, None], m[None, :]]).all())
+        require(size * stabiliser == len(auts), "orbit size times |Aut(B)| is not |Aut(A)|")
+        canonical = canonical_brace(B)
+        require(canonical not in out, "two Aut(A)-orbits give isomorphic braces")
+        out.add(canonical)
     return sorted(out, key=lambda B: B.mul.op)
 
 

@@ -3,12 +3,20 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bracekit import enumeration
+import bracekit
+from bracekit import braces, enumeration
+from bracekit.cli import main
 from bracekit.braces import (
     SkewBrace,
     brace_isomorphisms,
@@ -20,7 +28,9 @@ from bracekit.braces import (
     validate_skew_brace,
 )
 from bracekit.enumeration import (
+    _conjugacy_orbits,
     _cyclic_extensions,
+    _generating_set,
     brute_force_oracle,
     catalog_from_jsonl,
     catalog_manifest,
@@ -33,10 +43,14 @@ from bracekit.enumeration import (
 from bracekit.errors import OrderCapExceeded, ParseError
 from bracekit.groups import (
     as_rows,
+    automorphism_group,
     cyclic_group,
+    holomorph,
     is_isomorphic,
     klein_four_group,
     quaternion_group,
+    regular_subgroups,
+    relabel,
     trusted_group,
     validate_group,
 )
@@ -327,3 +341,143 @@ def test_not_two_sided_count_at_order_8():
 def test_unknown_method_is_a_parse_error():
     with pytest.raises(ParseError, match="unknown method 'magic'"):
         skew_braces_of_order(4, method="magic")
+
+
+# -- one canonicalisation per Aut(A)-orbit -------------------------------------
+
+
+def _skew_braces_on_reference(A):
+    """Validate and canonicalise every regular subgroup of Hol(A), then
+    deduplicate the canonical braces: no orbit walk."""
+    hol = holomorph(A)
+    out = set()
+    for R in regular_subgroups(hol):
+        by_zero = {hol.perms[r][0]: r for r in R}
+        assert len(by_zero) == A.n
+        mul_rows = tuple(hol.perms[by_zero[a]] for a in range(A.n))
+        out.add(canonical_brace(validate_skew_brace(A, validate_group(mul_rows))))
+    return sorted(out, key=lambda B: B.mul.op)
+
+
+def _tables(braces_):
+    return [(B.add.op, B.mul.op) for B in braces_]
+
+
+# (regular subgroups of Hol(A), Aut(A)-orbits) for each group A of order n,
+# in groups_of_order order
+ORBIT_COUNTS = {
+    1: [(1, 1)],
+    2: [(1, 1)],
+    3: [(1, 1)],
+    4: [(4, 2), (2, 2)],
+    5: [(1, 1)],
+    6: [(2, 2), (8, 4)],
+    7: [(1, 1)],
+    8: [(232, 8), (28, 14), (20, 12), (6, 5), (28, 8)],
+    9: [(9, 2), (3, 2)],
+    10: [(2, 2), (12, 4)],
+    11: [(1, 1)],
+    12: [(12, 5), (28, 10), (42, 8), (6, 5), (28, 10)],
+}
+
+
+@pytest.mark.parametrize("n", sorted(ORBIT_COUNTS))
+def test_orbit_walk_matches_reference_and_pinned_counts(n):
+    counts = []
+    for A in groups_of_order(n, cap=12):
+        auts = automorphism_group(A)
+        hol = holomorph(A)
+        orbits = _conjugacy_orbits(hol, _generating_set(auts))
+        subgroups = sum(size for _, size in orbits)
+        counts.append((subgroups, len(orbits)))
+        assert subgroups == len(regular_subgroups(hol))
+        found = skew_braces_on(A, cap=12)
+        assert _tables(found) == _tables(_skew_braces_on_reference(A))
+        # orbit-stabiliser again, with |Aut(B)| from the brace isomorphism search
+        assert sum(len(auts) // len(brace_isomorphisms(B, B)) for B in found) == subgroups
+    assert counts == ORBIT_COUNTS[n]
+
+
+@pytest.mark.parametrize("make", [quaternion_group, klein_four_group])
+def test_orbit_walk_matches_reference_on_named_groups(make):
+    A = make()
+    assert _tables(skew_braces_on(A)) == _tables(_skew_braces_on_reference(A))
+
+
+@pytest.mark.parametrize("index", range(5))
+@given(st.data())
+@settings(max_examples=3, deadline=None)
+def test_orbit_walk_matches_reference_on_relabelled_order_8(index, data):
+    G = groups_of_order(8)[index]
+    sigma = [0] + data.draw(st.permutations(range(1, 8)))
+    A = validate_group(relabel(G.np_op, sigma).tolist())
+    assert _tables(skew_braces_on(A)) == _tables(_skew_braces_on_reference(A))
+
+
+def test_one_canonicalisation_per_brace_on_orders_1_to_8(monkeypatch, capsys):
+    calls = []
+    real = braces.canonical_pair
+
+    def counting(B):
+        calls.append(B.n)
+        return real(B)
+
+    monkeypatch.setattr(enumeration, "_CATALOG_CACHE", {})
+    monkeypatch.setattr(braces, "canonical_pair", counting)
+    assert main(["verify", "--orders", "1..8"]) == 0
+    assert len(calls) == sum(BRACE_COUNTS) == 62
+
+
+# Faults injected into the orbit walk; each must end in a failed cross-check,
+# exit 1, also under python -O.
+ORBIT_FAULTS = {
+    "no generators": (
+        "enumeration._generating_set = lambda auts: []",
+        "orbit size times |Aut(B)| is not |Aut(A)|",
+    ),
+    "merged orbits": (
+        "real = enumeration._conjugacy_orbits\n"
+        "def merged(hol, gens):\n"
+        "    orbits = real(hol, gens)\n"
+        "    if len(orbits) < 2:\n"
+        "        return orbits\n"
+        "    (first, s), (_, t) = orbits[:2]\n"
+        "    return [(first, s + t)] + orbits[2:]\n"
+        "enumeration._conjugacy_orbits = merged",
+        "orbit size times |Aut(B)| is not |Aut(A)|",
+    ),
+    # a proper subgroup of Aut(A) passes orbit-stabiliser; only the distinct
+    # canonical braces check sees its split orbits
+    "identity as Aut(A)": (
+        "enumeration.groups_of_order(8)\n"
+        "enumeration.automorphism_group = lambda G: [tuple(range(G.n))]",
+        "two Aut(A)-orbits give isomorphic braces",
+    ),
+}
+
+FAULT_SCRIPT = """
+import sys
+from bracekit import enumeration
+from bracekit.cli import main
+if not sys.flags.optimize:
+    sys.exit(3)
+{patch}
+sys.exit(main(["enumerate", "8"]))
+"""
+
+
+@pytest.mark.parametrize("fault", sorted(ORBIT_FAULTS))
+def test_orbit_faults_trip_a_cross_check_under_python_O(fault):
+    patch, message = ORBIT_FAULTS[fault]
+    src = str(Path(bracekit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FAULT_SCRIPT.format(patch=patch)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"error: cross-check failed: {message}\n"
+    assert proc.stdout == ""

@@ -140,6 +140,16 @@ def test_cli_enumerate_writes_catalog_and_manifest(tmp_path, capsys):
     assert manifest["order"] == 4 and manifest["count"] == 4
 
 
+@pytest.mark.parametrize("where", ["missing/c2.jsonl", "."])
+def test_cli_enumerate_unwritable_out_exits_2(tmp_path, where, capsys):
+    # a missing directory raises FileNotFoundError, a directory IsADirectoryError
+    out = tmp_path / where
+    assert main(["enumerate", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {out}: [Errno ")
+
+
 def test_cli_enumerate_cap(capsys):
     assert main(["enumerate", "9"]) == 2
     assert main(["enumerate", "9", "--cap", "9"]) == 0
@@ -171,6 +181,24 @@ def test_cli_verify_deterministic_output(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("orders", ["3", "2..8"])
+def test_cli_verify_passes_without_the_stem_orders(orders, capsys):
+    # the trivial brace's class has its stem member at order 1
+    assert main(["verify", "--orders", orders]) == 0
+    report = {r["theorem_id"]: r for r in json.loads(capsys.readouterr().out)}
+    assert report["isoclinism-invariance"]["notes"][1:] == [
+        "1 classes not checked for a stem member: its order is outside the catalog"
+    ]
+
+
+def test_cli_verify_stem_fault_still_fails_in_range(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "is_stem", lambda B: False)
+    assert main(["verify", "--orders", "1..8", "--theorems", "isoclinism-invariance"]) == 1
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["notes"] == ["25 isoclinism classes"]
+    assert [v["details"] for v in report["violations"]] == ["class without a stem brace"] * 25
 
 
 def test_cli_verify_bad_inputs(capsys):
