@@ -233,7 +233,7 @@ def opposite_brace(G: GroupTable) -> SkewBrace:
 
 def cyclic_brace(n: int, d: int) -> SkewBrace:
     """Z_n with x o y = x + y + dxy; requires p | d | n for every prime p | n."""
-    if d <= 0 or n % d != 0 or any(d % p != 0 for p in prime_divisors(n)):
+    if n < 1 or d <= 0 or n % d != 0 or any(d % p != 0 for p in prime_divisors(n)):
         raise BadCyclicParameter(d, n)
     x, y = np.ogrid[:n, :n]
     return validate_skew_brace((x + y) % n, (x + y + d * x * y) % n)
@@ -261,14 +261,13 @@ class StructureFlags:
 
 
 def is_two_sided(B: SkewBrace) -> bool:
-    """(b + c) o a = (b o a) - a + (c o a) for all triples.  For each a this
-    says x -> (x o a) - a is additive, so c runs over the additive generators."""
-    add, neg, mul = B.add.np_op, B.add.np_inv, B.mul.np_op
+    """(b + c) o a = (b o a) - a + (c o a) for all triples, as skew left
+    distributivity on the transposed tables: (c + b) o a = (c o a) - a +
+    (b o a) with c over the additive generators, the left summand.  That
+    suffices: for fixed a, the x with (x + y) o a = (x o a) - a + (y o a)
+    for all y contain 0 and are closed under +, a subgroup of (B, +)."""
     cs = list(B.add.generators)
-    lhs = mul[add[:, cs]]  # lhs[b,k,a] = (b + c) o a
-    t1 = add[mul, neg[None, :]]  # t1[b,a] = (b o a) - a
-    rhs = add[t1[:, None, :], mul[None, cs]]  # rhs[b,k,a] = t1[b,a] + (c o a)
-    return bool((lhs == rhs).all())
+    return not distributivity_failures(B.add.np_op.T, B.add.np_inv, B.mul.np_op.T, cs).any()
 
 
 def is_symmetric(B: SkewBrace) -> bool:
@@ -324,7 +323,6 @@ def classify_subset(B: SkewBrace, S: Iterable[int]) -> SubsetClass:
     members = set(S)
     if not members:
         return SubsetClass(False, False, False)
-    check_indices(B.n, *members)
     sub = is_subgroup(B.add, members) and is_subgroup(B.mul, members)
     left_ideal = sub and members.issuperset(B.lambdas[:, sorted(members)].ravel().tolist())
     ideal = (

@@ -28,6 +28,7 @@ from .groups import (
     canonical_form,
     conjugacy_class_sizes,
     cyclic_group,
+    greedy_generators,
     holomorph,
     is_isomorphic,
     prime_divisors,
@@ -152,31 +153,6 @@ class BraceCatalog:
         return [e.brace for e in self.entries]
 
 
-def _generating_set(auts: list[Bijection]) -> list[Bijection]:
-    """Generators of the permutation group auts (identity first): each element
-    is kept only if the group the kept ones generate lacks it, and the scan
-    stops once that group is all of auts.  The group grows as in
-    groups.generators: when g joins, the members so far are composed with g
-    alone, and each new member with every generator."""
-    members = [auts[0]]
-    reached = {auts[0]}
-    gens: list[Bijection] = []
-    for alpha in auts:
-        if len(members) == len(auts):
-            break
-        if alpha in reached:
-            continue
-        gens.append(alpha)
-        known = len(members)
-        for i, x in enumerate(members):  # members grows while it is walked
-            for g in gens if i >= known else gens[-1:]:
-                y = tuple(map(x.__getitem__, g))
-                if y not in reached:
-                    reached.add(y)
-                    members.append(y)
-    return gens
-
-
 def _conjugacy_orbits(
     hol: Holomorph, gens: list[Bijection]
 ) -> list[tuple[tuple[Bijection, ...], int]]:
@@ -184,14 +160,14 @@ def _conjugacy_orbits(
     that gens generates, as (first subgroup, orbit size) in the order of
     regular_subgroups.
 
-    A regular subgroup is held as its members sorted by image of 0, i.e. the
-    rows of its Cayley table (hol.perms is sorted).  Conjugation by alpha
-    sends member p to x -> alpha(p(alpha^-1(x))), which sends 0 to
+    A regular subgroup N is held as regular_subgroups gives it, as the rows
+    of its Cayley table: row a is the member sending 0 to a.  Conjugation by
+    alpha sends member p to x -> alpha(p(alpha^-1(x))), which sends 0 to
     alpha(p(0)), so row alpha^-1(b) of N becomes row b of its image.  Each
     orbit is collected by a walk from its first subgroup along the
     generators."""
     conjugators = [(alpha, np.argsort(alpha).tolist()) for alpha in gens]
-    tables = [tuple(hol.perms[r] for r in R) for R in regular_subgroups(hol)]
+    tables = regular_subgroups(hol)
     todo = set(tables)
     orbits = []
     for first in tables:
@@ -227,8 +203,9 @@ def skew_braces_on(A: GroupTable, cap: Optional[int] = None) -> list[SkewBrace]:
     _check_cap(A.n, cap)
     hol = holomorph(A)
     auts = automorphism_group(A)
+    gens = greedy_generators(auts, lambda x, g: tuple(map(x.__getitem__, g)))  # x after g
     out = set()
-    for mul_rows, size in _conjugacy_orbits(hol, _generating_set(auts)):
+    for mul_rows, size in _conjugacy_orbits(hol, gens):
         regular = all(row[0] == a for a, row in enumerate(mul_rows))
         require(regular, "regular subgroup does not act regularly")
         B = validate_skew_brace(A, validate_group(mul_rows))
@@ -286,8 +263,10 @@ def brute_force_oracle(n: int, cap: Optional[int] = None) -> BraceCatalog:
     satisfying skew left distributivity.
     """
     limit = resolve_cap(cap)
-    if n > min(limit, 8):
-        raise OrderCapExceeded(n, min(limit, 8))
+    if n > limit:
+        raise OrderCapExceeded(n, limit)
+    if n > 8:
+        raise OrderCapExceeded(n, 8, "the brute-force oracle's limit")
     groups = groups_of_order(n, cap=cap)
     raw = set()  # |Aut(M)| bijections give the same tables: canonicalise them once
     for A in groups:

@@ -63,10 +63,10 @@ class NotASubBrace(BraceKitError):
 
 
 class OrderCapExceeded(BraceKitError):
-    def __init__(self, n: int, cap: int):
+    def __init__(self, n: int, cap: int, limit: str = "the configured cap"):
         self.n = n
         self.cap = cap
-        super().__init__(f"order {n} exceeds the configured cap {cap}")
+        super().__init__(f"order {n} exceeds {limit} {cap}")
 
 
 class GapViolation(BraceKitError):

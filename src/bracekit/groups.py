@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -274,6 +274,7 @@ def is_subgroup(G: GroupTable, H: Iterable[int]) -> bool:
     """Whether H contains 0 and is closed under products (so, being finite,
     under inverses too)."""
     members = set(H)
+    check_indices(G.n, *members)
     return 0 in members and all(
         members.issuperset(map(G.op[a].__getitem__, members)) for a in members
     )
@@ -282,6 +283,7 @@ def is_subgroup(G: GroupTable, H: Iterable[int]) -> bool:
 def is_conjugation_closed(G: GroupTable, H: Iterable[int]) -> bool:
     """Whether g h g^-1 lies in H for every g in G and h in H."""
     members = set(H)
+    check_indices(G.n, *members)
     return all(members.issuperset(G.conjugates[h]) for h in members)
 
 
@@ -332,34 +334,39 @@ def quotient_table(G: GroupTable, H: Iterable[int]) -> tuple[np.ndarray, tuple[i
     return cmap[G.np_op[np.ix_(reps, reps)]], tuple(cmap.tolist())
 
 
-def generators(op: Sequence[Sequence[int]]) -> ElementSet:
-    """Greedy generating sequence of a square table with identity 0: each
-    generator is the least element not yet reachable from 0 by right
-    products with the earlier ones.  On a group, the least element outside
+def greedy_generators(elements: Sequence, product: Callable) -> list:
+    """Greedy generating sequence of elements (identity first) under product,
+    e.g. a Cayley table's indices or Aut(A)'s permutations: each generator
+    is the first element not yet reachable from the identity by right
+    products with the earlier ones.  In a group, the first element outside
     the subgroup the earlier ones generate.
 
     Incremental: when g joins, the elements reached so far are multiplied by
     g alone, and each newly reached element by every generator, so each
     product is taken once.
     """
-    n = len(op)
-    reached = [True] + [False] * (n - 1)
-    members = [0]
-    gens: list[int] = []
-    least = 1
-    while len(members) < n:
-        while reached[least]:
-            least += 1
-        gens.append(least)
+    members = [elements[0]]
+    reached = set(members)
+    gens: list = []
+    for g in elements:
+        if len(members) == len(elements):
+            break
+        if g in reached:
+            continue
+        gens.append(g)
         known = len(members)
         for i, x in enumerate(members):  # members grows while it is walked
-            row = op[x]
-            for g in gens if i >= known else gens[-1:]:
-                y = row[g]
-                if not reached[y]:
-                    reached[y] = True
+            for h in gens if i >= known else gens[-1:]:
+                y = product(x, h)
+                if y not in reached:
+                    reached.add(y)
                     members.append(y)
-    return tuple(gens)
+    return gens
+
+
+def generators(op: Sequence[Sequence[int]]) -> ElementSet:
+    """greedy_generators of a square table with identity 0, in index order."""
+    return tuple(greedy_generators(range(len(op)), lambda x, g: op[x][g]))
 
 
 def _extend_by_words(
@@ -627,9 +634,10 @@ def _uniform_cycle_length(perm: Sequence[int]) -> Optional[int]:
     return length
 
 
-def regular_subgroups(hol: Holomorph) -> list[ElementSet]:
-    """All order-n subgroups of Hol acting regularly on 0..n-1, as sorted
-    tuples of indices into hol.perms.
+def regular_subgroups(hol: Holomorph) -> list[tuple[Bijection, ...]]:
+    """All order-n subgroups of Hol acting regularly on 0..n-1, each as its
+    Cayley table: the members ordered by image of 0, so row a is the member
+    sending 0 to a and the rows are objects of hol.perms.  Sorted.
 
     Only the identity and the fixed-point-free elements with uniform cycle
     length (the candidates) can sit in a semiregular subgroup T, held as a
@@ -640,21 +648,21 @@ def regular_subgroups(hol: Holomorph) -> list[ElementSet]:
     one path.  A semiregular subgroup of order n is regular.
     """
     n = hol.group.n
-    index = {hol.perms[0]: 0}
+    intern = {hol.perms[0]: hol.perms[0]}
     by_image: list[list[Bijection]] = [[] for _ in range(n)]
-    for g, perm in enumerate(hol.perms[1:], start=1):
+    for perm in hol.perms[1:]:
         if _uniform_cycle_length(perm) is not None:
-            index[perm] = g
+            intern[perm] = perm
             by_image[perm[0]].append(perm)
-    results: list[ElementSet] = []
+    results: list[tuple[Bijection, ...]] = []
 
     def extend(T: dict[int, Bijection]) -> None:
         if len(T) == n:
-            results.append(tuple(sorted(index[p] for p in T.values())))
+            results.append(tuple(intern[T[a]] for a in range(n)))  # rows of hol.perms, not copies
             return
         m = next(x for x in range(n) if x not in T)
         for g in by_image[m]:
-            U = _semiregular_closure(T, g, index)
+            U = _semiregular_closure(T, g, intern)
             if U is not None:
                 extend(U)
 

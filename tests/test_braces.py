@@ -138,6 +138,13 @@ def test_cyclic_brace_parameter_check():
     cyclic_brace(12, 6)
 
 
+@pytest.mark.parametrize("n, d", [(0, 1), (-4, 2)])
+def test_cyclic_brace_rejects_orders_below_one(n, d):
+    # prime_divisors(0) and prime_divisors(-4) are empty, so the prime test alone lets these by
+    with pytest.raises(BadCyclicParameter):
+        cyclic_brace(n, d)
+
+
 @given(st.sampled_from([(2, 2), (4, 2), (8, 2), (9, 3), (12, 6), (16, 4)]))
 def test_cyclic_brace_always_validates(nd):
     n, d = nd

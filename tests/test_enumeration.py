@@ -30,7 +30,6 @@ from bracekit.braces import (
 from bracekit.enumeration import (
     _conjugacy_orbits,
     _cyclic_extensions,
-    _generating_set,
     brute_force_oracle,
     catalog_from_jsonl,
     catalog_manifest,
@@ -45,6 +44,7 @@ from bracekit.groups import (
     as_rows,
     automorphism_group,
     cyclic_group,
+    greedy_generators,
     holomorph,
     is_isomorphic,
     klein_four_group,
@@ -177,6 +177,10 @@ def test_order_cap():
     with pytest.raises(OrderCapExceeded):
         skew_braces_of_order(9)
     assert len(groups_of_order(9, cap=9)) == 2
+    with pytest.raises(OrderCapExceeded, match="^order 7 exceeds the configured cap 5$"):
+        brute_force_oracle(7, cap=5)
+    with pytest.raises(OrderCapExceeded, match="^order 9 exceeds the brute-force oracle's limit 8$"):
+        brute_force_oracle(9, cap=9)
 
 
 def test_cap_env_override(monkeypatch):
@@ -290,6 +294,22 @@ def test_manifest_hash_matches_body():
     )
 
 
+# regression pins for the orders no other test pins; the bytes are the JSONL body
+CATALOG_SHA256 = {
+    1: "04acf3b4083fb79a1e0a75029fb367c09f6622d3155dccd33a6be69e64f072d6",
+    2: "dfbc3a953b30637bbdd5ce3ef24c8ba596e97f1032eb0a3e11e0c75ac755d4e8",
+    3: "128782c89dbc2a07d88ff2ef4e42b57b5409cdab2ad274688ae0f1bdd158d718",
+    5: "af196db1b006786d9588e24a5c4ad646685a0089024680d3e529bdcabb9faa73",
+    6: "8cb54f19b677af5898bb00148a253a5f24cbe39cffc265a9778d1a18112664fb",
+    7: "cdbb362f9e0eb0a2e3b10358df66e32abac9d7db96f11019fd56f6825f41e867",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CATALOG_SHA256))
+def test_small_catalog_bytes_are_pinned(n):
+    assert catalog_manifest(skew_braces_of_order(n))["sha256"] == CATALOG_SHA256[n]
+
+
 def test_order_8_catalog_bytes_are_pinned():
     assert (
         catalog_manifest(skew_braces_of_order(8))["sha256"]
@@ -297,7 +317,7 @@ def test_order_8_catalog_bytes_are_pinned():
     )
 
 
-def test_reach_to_order_12():
+def test_reach_to_order_12(capsys):
     # published skew brace counts; orders 9, 10 and 12 keep their catalog bytes
     assert [len(groups_of_order(n, cap=12)) for n in range(9, 13)] == [2, 2, 1, 5]
     catalogs = {n: skew_braces_of_order(n, cap=12) for n in range(9, 13)}
@@ -313,6 +333,13 @@ def test_reach_to_order_12():
     assert (
         catalog_manifest(catalogs[12])["sha256"]
         == "7d6e6b0cf5a6211df320c0b5fc07064d347606c25707c0e3c6d27e367c004ed6"
+    )
+    # and the theorem verdicts over orders 1..12, to the byte
+    assert main(["verify", "--orders", "1..12", "--cap", "12"]) == 0
+    out = capsys.readouterr().out
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "fe820bd9a90910709a6a41509c1a19d757083c75426915bc9ffe38ec416e78f5"
     )
 
 
@@ -349,14 +376,63 @@ def test_unknown_method_is_a_parse_error():
 def _skew_braces_on_reference(A):
     """Validate and canonicalise every regular subgroup of Hol(A), then
     deduplicate the canonical braces: no orbit walk."""
-    hol = holomorph(A)
     out = set()
-    for R in regular_subgroups(hol):
-        by_zero = {hol.perms[r][0]: r for r in R}
-        assert len(by_zero) == A.n
-        mul_rows = tuple(hol.perms[by_zero[a]] for a in range(A.n))
+    for mul_rows in regular_subgroups(holomorph(A)):
         out.add(canonical_brace(validate_skew_brace(A, validate_group(mul_rows))))
     return sorted(out, key=lambda B: B.mul.op)
+
+
+def _compose(x, g):
+    """x after g, as permutations."""
+    return tuple(map(x.__getitem__, g))
+
+
+def _generating_set(auts):
+    """Generators of the permutation group auts (identity first): each element
+    is kept only if the group the kept ones generate lacks it, and the scan
+    stops once that group is all of auts.  The group grows incrementally:
+    when g joins, the members so far are composed with g alone, and each new
+    member with every generator."""
+    members = [auts[0]]
+    reached = {auts[0]}
+    gens = []
+    for alpha in auts:
+        if len(members) == len(auts):
+            break
+        if alpha in reached:
+            continue
+        gens.append(alpha)
+        known = len(members)
+        for i, x in enumerate(members):  # members grows while it is walked
+            for g in gens if i >= known else gens[-1:]:
+                y = _compose(x, g)
+                if y not in reached:
+                    reached.add(y)
+                    members.append(y)
+    return gens
+
+
+AUT_GROUPS = [G for n in range(1, 13) for G in groups_of_order(n, cap=12)] + [
+    quaternion_group(),
+    klein_four_group(),
+]
+
+
+@pytest.mark.parametrize("A", AUT_GROUPS, ids=[f"{A.n}-{i}" for i, A in enumerate(AUT_GROUPS)])
+def test_greedy_generators_of_aut_match_reference(A):
+    auts = automorphism_group(A)
+    gens = greedy_generators(auts, _compose)
+    assert gens == _generating_set(auts)
+    # the generators give all of Aut(A), by a closure independent of both walks
+    group = {auts[0]}
+    frontier = [auts[0]]
+    for x in frontier:
+        for g in gens:
+            y = _compose(x, g)
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    assert group == set(auts)
 
 
 def _tables(braces_):
@@ -387,7 +463,7 @@ def test_orbit_walk_matches_reference_and_pinned_counts(n):
     for A in groups_of_order(n, cap=12):
         auts = automorphism_group(A)
         hol = holomorph(A)
-        orbits = _conjugacy_orbits(hol, _generating_set(auts))
+        orbits = _conjugacy_orbits(hol, greedy_generators(auts, _compose))
         subgroups = sum(size for _, size in orbits)
         counts.append((subgroups, len(orbits)))
         assert subgroups == len(regular_subgroups(hol))
@@ -432,7 +508,7 @@ def test_one_canonicalisation_per_brace_on_orders_1_to_8(monkeypatch, capsys):
 # exit 1, also under python -O.
 ORBIT_FAULTS = {
     "no generators": (
-        "enumeration._generating_set = lambda auts: []",
+        "enumeration.greedy_generators = lambda elements, product: []",
         "orbit size times |Aut(B)| is not |Aut(A)|",
     ),
     "merged orbits": (

@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bracekit.enumeration import groups_of_order
-from bracekit.errors import IdentityNotZero, NotAssociative, NotLatinSquare, check_indices
+from bracekit.errors import (
+    IdentityNotZero,
+    IndexOutOfRange,
+    NotAssociative,
+    NotLatinSquare,
+    check_indices,
+)
 from bracekit.groups import (
     ElementSet,
     GroupTable,
@@ -31,6 +37,7 @@ from bracekit.groups import (
     generators,
     group_commuting_probability,
     holomorph,
+    is_conjugation_closed,
     is_isomorphic,
     is_normal,
     is_subgroup,
@@ -173,6 +180,16 @@ def test_quotient_of_quaternion_by_center():
     assert Q.n == 4
     assert set(Q.element_orders) <= {1, 2}
     assert len(set(cmap)) == 4
+
+
+@pytest.mark.parametrize("bad", [99, -2])
+@pytest.mark.parametrize(
+    "routine", [is_subgroup, is_conjugation_closed, is_normal, quotient_table, quotient_group]
+)
+def test_subgroup_routines_reject_members_out_of_range(routine, bad):
+    # -2 would otherwise be read as a negative Python index
+    with pytest.raises(IndexOutOfRange, match=f"element index {bad} out of range for order 4"):
+        routine(cyclic_group(4), [0, bad])
 
 
 def _quotient_table_reference(G, H):
@@ -348,10 +365,9 @@ def test_holomorph_orders_and_regular_subgroups():
 
 def test_regular_subgroups_are_regular():
     hol = holomorph(cyclic_group(6))
-    for R in regular_subgroups(hol):
-        assert len(R) == 6
-        # transitive on points and free: images of 0 all distinct
-        assert len({hol.perms[r][0] for r in R}) == 6
+    for N in regular_subgroups(hol):
+        # transitive on points and free: row a is the one member sending 0 to a
+        assert [row[0] for row in N] == list(range(6))
 
 
 @pytest.mark.parametrize(
@@ -416,7 +432,9 @@ def _regular_subgroups_reference(G):
     """An independent search: the full Cayley table of Hol(G) on its sorted
     permutations, with compositions found by np.searchsorted on the
     permutations' big-endian bytes, and each candidate set grown by one
-    candidate at a time and closed in that table by _capped_closure."""
+    candidate at a time and closed in that table by _capped_closure.  Each
+    subgroup is returned as its members in index order, which for a regular
+    subgroup is the order of their images of 0."""
     n = G.n
     auts = automorphism_group(G)
     perms = sorted({tuple(G.op[a][phi[x]] for x in range(n)) for a in range(n) for phi in auts})
@@ -453,7 +471,7 @@ def _regular_subgroups_reference(G):
         results.add((0,))
     else:
         extend((0,), -1)
-    return sorted(results)
+    return sorted(tuple(perms[r] for r in R) for R in results)
 
 
 HOLOMORPH_GROUPS = [
@@ -464,9 +482,14 @@ HOLOMORPH_GROUPS = [
 
 
 def _assert_regular_subgroups_match_reference(G):
-    found = regular_subgroups(holomorph(G))
+    hol = holomorph(G)
+    found = regular_subgroups(hol)
     assert len(set(found)) == len(found)  # each subgroup is reached once
     assert found == _regular_subgroups_reference(G)
+    held = set(map(id, hol.perms))
+    for N in found:
+        assert [row[0] for row in N] == list(range(G.n))
+        assert all(id(row) in held for row in N)  # the rows of hol.perms, not copies
 
 
 @pytest.mark.parametrize("n,index", HOLOMORPH_GROUPS)

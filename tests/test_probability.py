@@ -82,6 +82,10 @@ def test_cyclic_formula_rejects_bad_parameters():
         cyclic_pb_formula(4, 1)
     with pytest.raises(BadCyclicParameter):
         cyclic_pb_formula(6, 2)
+    with pytest.raises(BadCyclicParameter):
+        cyclic_pb_formula(0, 1)
+    with pytest.raises(BadCyclicParameter):
+        cyclic_pb_formula(-4, 2)
 
 
 @settings(deadline=None)

@@ -1,5 +1,6 @@
 """Theorem suites and the command-line surface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -213,6 +214,48 @@ def test_cli_verify_brute_method(capsys):
     ) == 0
     report = json.loads(capsys.readouterr().out)
     assert report[0]["checked"] == 4
+
+
+VERIFY_8_SHA256 = "178de0d43c6b3112eb2ca2c8ccd4dcf8f3dd36305b3e5c087b722946ef494cd3"
+
+
+def test_cli_verify_orders_1_to_8_bytes_are_pinned(capsys):
+    assert main(["verify", "--orders", "1..8"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_8_SHA256
+
+
+def test_cli_verify_orders_1_to_8_bytes_are_pinned_under_python_O():
+    src = str(Path(bracekit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "bracekit.cli", "verify", "--orders", "1..8"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_8_SHA256
+
+
+BRUTE_LIMIT = "order 9 exceeds the brute-force oracle's limit 8"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["enumerate", "9", "--method", "brute", "--cap", "9"], BRUTE_LIMIT),
+        (["verify", "--orders", "9", "--cap", "9", "--method", "brute"], BRUTE_LIMIT),
+        (["enumerate", "9", "--method", "brute", "--cap", "12"], BRUTE_LIMIT),
+        (["enumerate", "9", "--method", "brute"], "order 9 exceeds the configured cap 8"),
+        (["enumerate", "7", "--method", "brute", "--cap", "5"], "order 7 exceeds the configured cap 5"),
+    ],
+)
+def test_cli_brute_method_names_the_limit_it_exceeds(argv, message, capsys, monkeypatch):
+    monkeypatch.delenv("BRACEKIT_CAP", raising=False)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # -- malformed input ---------------------------------------------------------
