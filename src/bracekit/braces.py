@@ -435,31 +435,16 @@ def nilpotency_class(B: SkewBrace) -> Optional[int]:
 def brace_isomorphisms(
     A: SkewBrace, B: SkewBrace, first_only: bool = False
 ) -> list[Bijection]:
-    """Bijections that are isomorphisms for both tables, sorted by map.
-
-    Filters the additive-group isomorphism list against the multiplicative
-    tables (or the other way round, whichever candidate list is smaller).
-    """
-    if A.n != B.n:
-        return []
-    add_isos = isomorphisms(A.add, B.add)
-    if not add_isos:
-        return []
-    mul_isos = isomorphisms(A.mul, B.mul)
-    if not mul_isos:
-        return []
-    if len(mul_isos) < len(add_isos):
-        cands, table_a, table_b = mul_isos, A.add.np_op, B.add.np_op
-    else:
-        cands, table_a, table_b = add_isos, A.mul.np_op, B.mul.np_op
+    """Bijections that are isomorphisms for both tables, sorted by map: the
+    additive isomorphisms, already sorted, that also preserve o."""
     out = []
-    for f in cands:
+    for f in isomorphisms(A.add, B.add):
         m = np.array(f)
-        if (m[table_a] == table_b[m[:, None], m[None, :]]).all():
+        if (m[A.mul.np_op] == B.mul.np_op[m[:, None], m[None, :]]).all():
             out.append(f)
             if first_only:
                 break
-    return sorted(out)
+    return out
 
 
 def is_brace_isomorphic(A: SkewBrace, B: SkewBrace) -> bool:

@@ -26,7 +26,6 @@ from .groups import (
     as_rows,
     automorphism_group,
     canonical_form,
-    conjugacy_class_sizes,
     cyclic_group,
     greedy_generators,
     holomorph,
@@ -97,13 +96,6 @@ def _cyclic_extensions(N: GroupTable, p: int) -> Iterator[GroupTable]:
                 continue
 
 
-def _fingerprint(G: GroupTable) -> tuple:
-    return (
-        tuple(sorted(G.element_orders)),
-        conjugacy_class_sizes(G),
-    )
-
-
 _GROUPS_CACHE: dict[int, list[GroupTable]] = {}
 
 
@@ -116,15 +108,13 @@ def groups_of_order(n: int, cap: Optional[int] = None) -> list[GroupTable]:
     if n == 1:
         out = [cyclic_group(1)]
     else:
-        reps: dict[tuple, list[GroupTable]] = {}
+        reps: list[GroupTable] = []
         for p in prime_divisors(n):
             for N in groups_of_order(n // p, cap=resolve_cap(cap)):
                 for G in _cyclic_extensions(N, p):
-                    key = _fingerprint(G)
-                    bucket = reps.setdefault(key, [])
-                    if not any(is_isomorphic(G, R) for R in bucket):
-                        bucket.append(G)
-        out = [canonical_form(G)[0] for bucket in reps.values() for G in bucket]
+                    if not any(is_isomorphic(G, R) for R in reps):
+                        reps.append(G)
+        out = [canonical_form(G)[0] for G in reps]
         out.sort(key=lambda G: G.op)
     _GROUPS_CACHE[n] = out
     return list(out)
@@ -262,9 +252,7 @@ def brute_force_oracle(n: int, cap: Optional[int] = None) -> BraceCatalog:
     back along every identity-fixing bijection onto M and keep the pairs
     satisfying skew left distributivity.
     """
-    limit = resolve_cap(cap)
-    if n > limit:
-        raise OrderCapExceeded(n, limit)
+    _check_cap(n, cap)
     if n > 8:
         raise OrderCapExceeded(n, 8, "the brute-force oracle's limit")
     groups = groups_of_order(n, cap=cap)
@@ -280,7 +268,7 @@ def brute_force_oracle(n: int, cap: Optional[int] = None) -> BraceCatalog:
                 if not distributivity_failures(a_op, a_neg, pulled).any():
                     raw.add(SkewBrace(n=n, add=A, mul=trusted_group(as_rows(pulled.tolist()))))
     braces = {canonical_brace(B) for B in raw}
-    return _build_catalog(braces, n, "brute_force", limit)
+    return _build_catalog(braces, n, "brute_force", resolve_cap(cap))
 
 
 # -- serialization -----------------------------------------------------------

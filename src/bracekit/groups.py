@@ -9,6 +9,7 @@ to new index.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -147,11 +148,13 @@ def _square_rows(
     table: Sequence[Sequence[int]],
 ) -> tuple[tuple[tuple[int, ...], ...], Optional[np.ndarray]]:
     """The table as rows of ints and as an int64 array, None where some entry
-    does not fit; raises for an empty or a non-square table.
+    does not fit; raises for an empty or a non-square table, or at the first
+    cell, in row-major order, that is not an integer.
 
     A table numpy reads as a square integer array is converted once, by
-    numpy.  Anything else (floats, strings, huge ints, ragged rows) takes
-    the per-cell int() of as_rows, so every input reads as before.
+    numpy.  Anything else (huge ints, ragged rows, non-integer cells) is
+    read cell by cell with operator.index, which takes Python and numpy
+    ints but not floats or strings.
     """
     try:
         arr = np.array(table)
@@ -160,7 +163,7 @@ def _square_rows(
     if arr is not None and arr.dtype.kind == "i" and arr.ndim == 2 and len(arr) == arr.shape[1] > 0:
         arr = arr.astype(np.int64, copy=False)
         return tuple(map(tuple, arr.tolist())), arr
-    op = as_rows(table)
+    op = tuple(tuple(_int_cell(i, j, v) for j, v in enumerate(row)) for i, row in enumerate(table))
     n = len(op)
     if n == 0:
         raise IdentityNotZero(0, 0)
@@ -171,6 +174,13 @@ def _square_rows(
         return op, np.array(op, dtype=np.int64)
     except OverflowError:
         return op, None
+
+
+def _int_cell(i: int, j: int, v: object) -> int:
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise NotLatinSquare(i, j, v) from None
 
 
 def _raise_first_table_fault(op: tuple[tuple[int, ...], ...]) -> None:
@@ -430,12 +440,9 @@ def is_isomorphic(G: GroupTable, H: GroupTable) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _automorphisms_cached(G: GroupTable) -> tuple[Bijection, ...]:
+def automorphism_group(G: GroupTable) -> tuple[Bijection, ...]:
+    """Aut(G), sorted by map; a tuple, so callers share the cached value."""
     return tuple(isomorphisms(G, G))
-
-
-def automorphism_group(G: GroupTable) -> list[Bijection]:
-    return list(_automorphisms_cached(G))
 
 
 def relabel(G_op: np.ndarray, sigma: Sequence[int]) -> np.ndarray:

@@ -12,11 +12,11 @@ from .braces import (
     annihilator,
     classify_subset,
     cyclic_brace,
+    is_two_sided,
     nilpotency_class,
     quotient_brace,
     quotient_tables,
     series,
-    structure_flags,
     sub_braces,
     validate_skew_brace,
 )
@@ -234,7 +234,7 @@ def check_two_sided_pn(entries: CatalogEntries, scope: str) -> TheoremVerdict:
     for cid, B in entries:
         if B.n <= 1 or len(prime_divisors(B.n)) != 1:
             continue
-        if not structure_flags(B).two_sided:
+        if not is_two_sided(B):
             continue
         checked += 1
         if nilpotency_class(B) is None:

@@ -1,5 +1,8 @@
 """Skew brace layer: validation, star maps, ideals, series, canonical forms."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,6 +272,46 @@ def test_quotient_brace_cosets_agree():
 def test_brace_isomorphism_distinguishes():
     assert not is_brace_isomorphic(cyclic_brace(4, 2), trivial_brace(cyclic_group(4)))
     assert is_brace_isomorphic(cyclic_brace(4, 2), cyclic_brace(4, 2))
+
+
+@functools.cache
+def _identity_fixing_bijections(n):
+    """All bijections of 0..n-1 fixing 0, as rows in lexicographic order."""
+    P = np.array([(0, *tail) for tail in itertools.permutations(range(1, n))])
+    P.flags.writeable = False
+    return P
+
+
+def _brace_isomorphisms_reference(A, B):
+    """Every identity-fixing bijection that carries both tables of A onto
+    those of B, by a scan over all (n-1)! of them, in lexicographic order."""
+    P = _identity_fixing_bijections(A.n)
+    for ta, tb in ((A.add.np_op, B.add.np_op), (A.mul.np_op, B.mul.np_op)):
+        # keep the f with f(x y) = f(x) f(y) at every cell
+        P = P[(P[:, ta] == tb[P[:, :, None], P[:, None, :]]).all(axis=(1, 2))]
+    return [tuple(f) for f in P.tolist()]
+
+
+def _reversed_tail(B):
+    """B relabelled by 0 -> 0 and x -> n - x, a brace isomorphic to B with
+    other tables."""
+    sigma = [0] + list(range(B.n - 1, 0, -1))
+    return validate_skew_brace(
+        relabel(B.add.np_op, sigma).tolist(), relabel(B.mul.np_op, sigma).tolist()
+    )
+
+
+def test_brace_isomorphisms_match_bijection_scan():
+    small = [B for B in BRACES if B.n <= 6]
+    pairs = [(A, B) for A in small for B in small if A.n == B.n]
+    pairs += [(A, _reversed_tail(B)) for A, B in pairs]
+    pairs += [(B, B) for B in BRACES if B.n == 8]
+    assert len(pairs) == 2 * 56 + 47
+    for A, B in pairs:
+        expected = _brace_isomorphisms_reference(A, B)
+        assert brace_isomorphisms(A, B) == expected
+        assert brace_isomorphisms(A, B, first_only=True) == expected[:1]
+    assert brace_isomorphisms(small[-1], BRACES[-1]) == []  # orders 6 and 8
 
 
 def test_direct_product_flags_and_order():

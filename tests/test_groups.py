@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bracekit.braces import validate_skew_brace
 from bracekit.enumeration import groups_of_order
 from bracekit.errors import (
     IdentityNotZero,
@@ -22,7 +23,6 @@ from bracekit.errors import (
 from bracekit.groups import (
     ElementSet,
     GroupTable,
-    _automorphisms_cached,
     _uniform_cycle_length,
     as_rows,
     automorphism_group,
@@ -509,7 +509,7 @@ def test_regular_subgroups_match_table_reference_order_16(G):
 def test_regular_subgroups_memory_stays_small():
     # Hol(Z2^3) has 1344 elements: its full Cayley table held 58.7 MiB
     G = direct_product_group(klein_four_group(), cyclic_group(2))
-    _automorphisms_cached.cache_clear()
+    automorphism_group.cache_clear()
     tracemalloc.start()
     try:
         hol = holomorph(G)
@@ -664,3 +664,33 @@ def test_validate_group_matches_reference_scan_on_corrupted_tables(data):
         st.one_of(st.integers(-2, n + 1), st.sampled_from([2**63, -(2**64), 10**30]))
     )
     assert _outcome(validate_group, table) == _outcome(_validate_group_reference, table)
+
+
+@pytest.mark.parametrize(
+    "table,cell",
+    [
+        ([[0, 1.7], [1, 0]], (0, 1, 1.7)),
+        ([["0", "1"], ["1", "0"]], (0, 0, "0")),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), (0, 0, np.float64(0))),
+        ([[0, 1], [1, np.float64(0)]], (1, 1, np.float64(0))),
+        ([[0, 5, 2], [1, 2, 0], [2, 0, 1.5]], (2, 2, 1.5)),  # before the range check
+    ],
+    ids=["float", "strings", "float-array", "numpy-float", "after-out-of-range"],
+)
+def test_non_integer_cells_are_not_truncated(table, cell):
+    z2 = [[0, 1], [1, 0]]
+    for validate in (
+        validate_group,
+        lambda t: validate_skew_brace(t, z2),
+        lambda t: validate_skew_brace(z2, t),
+    ):
+        with pytest.raises(NotLatinSquare) as exc:
+            validate(table)
+        assert exc.value.cell == cell
+        assert type(exc.value.cell[2]) is type(cell[2])
+
+
+def test_numpy_integer_cells_still_validate():
+    z2 = [[0, 1], [1, 0]]
+    for table in (np.array(z2, dtype=np.uint8), [[np.int8(0), 1], [1, np.uint64(0)]]):
+        assert validate_group(table).op == ((0, 1), (1, 0))

@@ -64,7 +64,7 @@ MODULE_STATE = {
     "enumeration.py:_GROUPS_CACHE",
     "enumeration.py:_CATALOG_CACHE",
     "verify.py:THEOREMS",
-    "groups.py:_automorphisms_cached",
+    "groups.py:automorphism_group",
     "groups.py:canonical_form",
 }
 
