@@ -17,7 +17,7 @@ from .enumeration import (
 from .errors import BraceKitError, InvariantViolation, ParseError
 from .isoclinism import are_isoclinic
 from .report import brace_report
-from .verify import THEOREMS, run_theorems
+from .verify import run_theorems, select_theorems
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -111,9 +111,7 @@ def cmd_isoclinic(args) -> int:
 def cmd_verify(args) -> int:
     lo, hi = _parse_orders(args.orders or f"1..{resolve_cap()}")
     names = [t.strip() for t in args.theorems.split(",") if t.strip()] if args.theorems else []
-    unknown = [t for t in names if t not in THEOREMS]
-    if unknown:
-        raise ParseError(f"unknown theorems: {', '.join(unknown)}")
+    select_theorems(names)  # fail on a bad name before building any catalog
     entries = []
     for n in range(lo, hi + 1):
         catalog = skew_braces_of_order(n, method=args.method, cap=args.cap)

@@ -148,8 +148,9 @@ def _square_rows(
     table: Sequence[Sequence[int]],
 ) -> tuple[tuple[tuple[int, ...], ...], Optional[np.ndarray]]:
     """The table as rows of ints and as an int64 array, None where some entry
-    does not fit; raises for an empty or a non-square table, or at the first
-    cell, in row-major order, that is not an integer.
+    does not fit; raises for an empty or a non-square table, at a table or
+    row that is not iterable (as cell (0, 0) or (i, 0) of that value), or at
+    the first cell, in row-major order, that is not an integer.
 
     A table numpy reads as a square integer array is converted once, by
     numpy.  Anything else (huge ints, ragged rows, non-integer cells) is
@@ -163,7 +164,8 @@ def _square_rows(
     if arr is not None and arr.dtype.kind == "i" and arr.ndim == 2 and len(arr) == arr.shape[1] > 0:
         arr = arr.astype(np.int64, copy=False)
         return tuple(map(tuple, arr.tolist())), arr
-    op = tuple(tuple(_int_cell(i, j, v) for j, v in enumerate(row)) for i, row in enumerate(table))
+    rows = enumerate(_cells(0, table))
+    op = tuple(tuple(_int_cell(i, j, v) for j, v in enumerate(_cells(i, row))) for i, row in rows)
     n = len(op)
     if n == 0:
         raise IdentityNotZero(0, 0)
@@ -174,6 +176,14 @@ def _square_rows(
         return op, np.array(op, dtype=np.int64)
     except OverflowError:
         return op, None
+
+
+def _cells(i: int, v: object) -> Iterable:
+    """iter(v), or NotLatinSquare(i, 0, v) if v is not iterable."""
+    try:
+        return iter(v)
+    except TypeError:
+        raise NotLatinSquare(i, 0, v) from None
 
 
 def _int_cell(i: int, j: int, v: object) -> int:
@@ -460,86 +470,67 @@ def canonical_form(G: GroupTable) -> tuple[GroupTable, Bijection]:
     bijections sigma (old -> new) with sigma[0] = 0; the witness is the
     lex-smallest sigma attaining it.
 
-    Depth-first branch-and-bound over relabelings.  Write p for the inverse
-    of sigma.  Row 0 and column 0 are fixed, and row 1 lists the labels of
-    p[1] * p[j] for j = 0..n-1, which visits every element, so row 1 alone
-    assigns every label.  Walking its cells in order:
+    Write p for the inverse of sigma, x = p[1] and m for the least order
+    above 1 in G.  Row 1 sends label j to the label of x p[j]: a permutation
+    whose cycles are the right cosets of <x>, of length ord(x).  It is least,
+    1, ..., m-1, 0, m+1, ..., 2m-1, m, ..., exactly when ord(x) = m and the
+    labels go out m at a time along those cosets: 0..m-1 to x^0..x^(m-1),
+    then k..k+m-1 to u, xu, ..., x^(m-1) u for an unlabelled u, and so on.
+    The search walks just these relabelings, x and each u in index order.
+    Rows 0..m-1 are the same at every leaf, so leaves are compared on rows
+    m..n-1, and the lex-smallest sigma is kept among ties: the same table
+    and witness as a scan over all (n-1)! relabelings.
 
-    - when label j has no preimage yet, branch over the unlabelled elements
-      for p[j] (at j = 1 this chooses p[1]);
-    - when the product is still unlabelled it takes the smallest free label,
-      since any other label makes this cell, and so the table, larger;
-    - a branch whose row-1 prefix exceeds the best one found is cut.
-
-    Complete candidates are compared on rows 2..n-1, row by row.  Labels are
-    handed out in increasing order, so after each cell the labels in use are
-    0..k-1.  Forcing and cutting only discard relabelings whose table is
-    strictly larger than another's, so the search meets every minimizer and
-    keeps the lex-smallest sigma among them: the same table and witness as a
-    scan over all (n-1)! relabelings.
-
-    Branching happens only where a right coset of <p[1]> starts: with
-    m = ord(p[1]), the i-th coset after <p[1]> has n - i*m candidates.  So
-    there are at most (n-1) * (n-2) * (n-4) * ... * 2 leaves for even n:
-    3,456 at order 10 (against 9! = 362,880 relabelings) and 42,240 at
-    order 12.
+    There are |{x : ord x = m}| * (n-m) * (n-2m) * ... * m leaves: 384 for
+    Z10 against 9! = 362,880 relabelings, and 15 * 14 * 12 * ... * 2 =
+    9,676,800 for Z2^4.
     """
     n = G.n
     if n == 1:
         return G, (0,)
-    op = G.op
-    label = [0] + [-1] * (n - 1)  # sigma, -1 while unlabelled
+    op, orders = G.op, G.element_orders
+    m = min(k for k in orders if k > 1)
+    label = [-1] * n  # sigma, -1 while unlabelled
     pre = [0] * n  # p on the labels handed out so far
-    row1 = [1] + [0] * (n - 1)
-    best: list[list[int]] = []
+    best: list[list[int]] = []  # rows m..n-1 of the least table so far
     best_sigma: Bijection = ()
 
-    def leaf() -> None:
+    def walk(k: int, starts: Iterable[int]) -> None:
+        # labels 0..k-1 are handed out; give k..k+m-1 to a coset <x> u
         nonlocal best, best_sigma
-        rows = [list(range(n)), row1[:]]
-        tied = bool(best) and row1 == best[1]
-        for i in range(2, n):
-            r = op[pre[i]]
-            row = [label[r[pre[j]]] for j in range(n)]
-            if tied:
-                if row > best[i]:
-                    return
-                tied = row == best[i]
-            rows.append(row)
-        sigma = tuple(label)
-        if not tied:
-            best, best_sigma = rows, sigma
-        elif sigma < best_sigma:
-            best_sigma = sigma
+        if k == n:
+            rows = []
+            tied = bool(best_sigma)
+            for i in range(m, n):
+                r = op[pre[i]]
+                row = [label[r[y]] for y in pre]
+                if tied:
+                    if row > best[i - m]:
+                        return
+                    tied = row == best[i - m]
+                rows.append(row)
+            sigma = tuple(label)
+            if not tied:
+                best, best_sigma = rows, sigma
+            elif sigma < best_sigma:
+                best_sigma = sigma
+            return
+        for u in starts:
+            if label[u] < 0:
+                y = u
+                for i in range(k, k + m):
+                    label[y], pre[i] = i, y
+                    y = xrow[y]
+                walk(k + m, range(1, n))
+                for y in pre[k : k + m]:
+                    label[y] = -1
 
-    def column(j: int, k: int) -> None:
-        # row-1 cells 0..j-1 are set and labels 0..k-1 have preimages
-        if j == n:
-            leaf()
-        elif j < k:
-            cell(j, k)
-        else:
-            for x in range(1, n):
-                if label[x] < 0:
-                    label[x], pre[j] = j, x
-                    cell(j, k + 1)
-                    label[x] = -1
-
-    def cell(j: int, k: int) -> None:
-        y = op[pre[1]][pre[j]]
-        fresh = label[y] < 0
-        if fresh:
-            label[y], pre[k] = k, y
-            k += 1
-        row1[j] = label[y]
-        if not best or row1[: j + 1] <= best[1][: j + 1]:
-            column(j + 1, k)
-        if fresh:
-            label[y] = -1
-
-    column(1, 1)
-    del column  # column and cell refer to each other: free both now, not at the next gc
-    return trusted_group(as_rows(best)), best_sigma
+    for x in range(1, n):
+        if orders[x] == m:
+            xrow = op[x]  # y -> x y
+            walk(0, (0,))
+    del walk  # walk refers to itself: free it now, not at the next gc
+    return trusted_group(as_rows(relabel(G.np_op, best_sigma).tolist())), best_sigma
 
 
 def group_commuting_probability(G: GroupTable) -> Fraction:

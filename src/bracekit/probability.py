@@ -78,12 +78,13 @@ class BoundVerdict:
             "name": self.name,
             "applicable": self.applicable,
             "holds": self.holds,
-            "lhs": _frac_json(self.lhs),
-            "rhs": _frac_json(self.rhs),
+            "lhs": frac_json(self.lhs),
+            "rhs": frac_json(self.rhs),
         }
 
 
-def _frac_json(x: Optional[Fraction]) -> Optional[dict]:
+def frac_json(x: Optional[Fraction]) -> Optional[dict]:
+    """A Fraction as {"num", "den"} decimal strings, the one JSON form of a rational."""
     if x is None:
         return None
     return {"num": str(x.numerator), "den": str(x.denominator)}
@@ -102,7 +103,7 @@ class BoundReport:
     def to_json_dict(self) -> dict:
         return {
             "d": self.d,
-            "pb": _frac_json(self.pb),
+            "pb": frac_json(self.pb),
             "verdicts": [v.to_json_dict() for v in self.verdicts],
         }
 

@@ -15,7 +15,7 @@ from .braces import (
 )
 from .errors import require
 from .groups import ElementSet
-from .probability import commuting_probability
+from .probability import commuting_probability, frac_json
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class BraceReport:
             "annihilator": list(self.annihilator),
             "flags": self.flags.to_json_dict(),
             "nilpotency_class": self.nilpotency_class,
-            "pb": {"num": str(self.pb.numerator), "den": str(self.pb.denominator)},
+            "pb": frac_json(self.pb),
         }
 
 

@@ -20,6 +20,7 @@ from .braces import (
     sub_braces,
     validate_skew_brace,
 )
+from .errors import ParseError
 from .groups import prime_divisors
 from .isoclinism import gamma2, induced_tables, is_stem, isoclinism_classes
 from .probability import (
@@ -355,14 +356,20 @@ THEOREMS: dict[str, Callable[[CatalogEntries, str], TheoremVerdict]] = {
 }
 
 
-def run_theorems(
-    entries: CatalogEntries, scope: str, names: Sequence[str] = ()
-) -> list[TheoremVerdict]:
+def select_theorems(names: Sequence[str] = ()) -> list[str]:
+    """The named theorems, all of them if none are named; ParseError names
+    any that are unknown."""
     selected = list(names) if names else list(THEOREMS)
     unknown = [n for n in selected if n not in THEOREMS]
     if unknown:
-        raise KeyError(f"unknown theorems: {unknown}")
-    return [THEOREMS[n](entries, scope) for n in selected]
+        raise ParseError(f"unknown theorems: {', '.join(unknown)}")
+    return selected
+
+
+def run_theorems(
+    entries: CatalogEntries, scope: str, names: Sequence[str] = ()
+) -> list[TheoremVerdict]:
+    return [THEOREMS[n](entries, scope) for n in select_theorems(names)]
 
 
 def open_question_observations(entries: CatalogEntries) -> dict:

@@ -307,28 +307,93 @@ def test_canonical_form_relabeling_invariant_q8(tail):
 
 
 def _canonical_form_reference(G):
-    """The original (n-1)! relabeling scan, kept as the oracle for canonical_form."""
+    """The (n-1)! relabeling scan, the oracle for canonical_form: every
+    bijection fixing 0 is applied to the table in one array step, and the
+    first row-major least table in itertools.permutations order is kept."""
     n = G.n
     if n == 1:
         return G, (0,)
-    op = G.np_op.astype(np.uint8)
-    best_bytes = None
-    best_sigma = None
-    sigma = np.zeros(n, dtype=np.uint8)
-    for per in itertools.permutations(range(1, n)):
-        sigma[1:] = per
-        m = relabel(op, sigma).tobytes()
-        if best_bytes is None or m < best_bytes:
-            best_bytes = m
-            best_sigma = tuple(int(v) for v in sigma)
-    arr = np.frombuffer(best_bytes, dtype=np.uint8).reshape(n, n)
-    table = as_rows(arr.tolist())
-    return trusted_group(table), best_sigma
+    perms = np.array(list(itertools.permutations(range(1, n))), dtype=np.int64)
+    sigmas = np.hstack([np.zeros((len(perms), 1), dtype=np.int64), perms])
+    pre = np.argsort(sigmas, axis=1)
+    # cell (i, j) of relabeling k is sigma_k(pre_k(i) pre_k(j))
+    old = G.np_op[pre[:, :, None], pre[:, None, :]].reshape(len(sigmas), n * n)
+    tables = np.take_along_axis(sigmas, old, axis=1)
+    k = np.lexsort(tables.T[::-1])[0]  # lexsort is stable: the first least row
+    return trusted_group(as_rows(tables[k].reshape(n, n).tolist())), tuple(sigmas[k].tolist())
 
 
-GROUPS_UP_TO_8 = [
-    (n, i) for n, count in enumerate([1, 1, 1, 2, 1, 2, 1, 5], start=1) for i in range(count)
+def _canonical_form_branch_and_bound_reference(G):
+    """The row-1 branch-and-bound that canonical_form replaced, kept as a
+    reference for it on orders beyond the (n-1)! scan.  Row 1 lists the
+    labels of p[1] * p[j] (p the inverse of sigma) and assigns every label:
+    a label with no preimage yet branches over the unlabelled elements, an
+    unlabelled product takes the smallest free label, and a branch whose
+    row-1 prefix exceeds the best one's is cut."""
+    n = G.n
+    if n == 1:
+        return G, (0,)
+    op = G.op
+    label = [0] + [-1] * (n - 1)  # sigma, -1 while unlabelled
+    pre = [0] * n  # p on the labels handed out so far
+    row1 = [1] + [0] * (n - 1)
+    best: list[list[int]] = []
+    best_sigma: tuple = ()
+
+    def leaf() -> None:
+        nonlocal best, best_sigma
+        rows = [list(range(n)), row1[:]]
+        tied = bool(best) and row1 == best[1]
+        for i in range(2, n):
+            r = op[pre[i]]
+            row = [label[r[pre[j]]] for j in range(n)]
+            if tied:
+                if row > best[i]:
+                    return
+                tied = row == best[i]
+            rows.append(row)
+        sigma = tuple(label)
+        if not tied:
+            best, best_sigma = rows, sigma
+        elif sigma < best_sigma:
+            best_sigma = sigma
+
+    def column(j: int, k: int) -> None:
+        # row-1 cells 0..j-1 are set and labels 0..k-1 have preimages
+        if j == n:
+            leaf()
+        elif j < k:
+            cell(j, k)
+        else:
+            for x in range(1, n):
+                if label[x] < 0:
+                    label[x], pre[j] = j, x
+                    cell(j, k + 1)
+                    label[x] = -1
+
+    def cell(j: int, k: int) -> None:
+        y = op[pre[1]][pre[j]]
+        fresh = label[y] < 0
+        if fresh:
+            label[y], pre[k] = k, y
+            k += 1
+        row1[j] = label[y]
+        if not best or row1[: j + 1] <= best[1][: j + 1]:
+            column(j + 1, k)
+        if fresh:
+            label[y] = -1
+
+    column(1, 1)
+    del column  # column and cell refer to each other: free both now, not at the next gc
+    return trusted_group(as_rows(best)), best_sigma
+
+
+GROUPS_UP_TO_12 = [
+    (n, i)
+    for n, count in enumerate([1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5], start=1)
+    for i in range(count)
 ]
+GROUPS_UP_TO_8 = [(n, i) for n, i in GROUPS_UP_TO_12 if n <= 8]
 
 
 @pytest.mark.parametrize("n,index", GROUPS_UP_TO_8)
@@ -340,6 +405,19 @@ def test_canonical_form_matches_reference_scan(n, index, data):
     H = validate_group(as_rows(relabel(G.np_op, sigma).tolist()))
     C, witness = canonical_form(H)
     C_ref, witness_ref = _canonical_form_reference(H)
+    assert C.op == C_ref.op
+    assert witness == witness_ref
+
+
+@pytest.mark.parametrize("n,index", GROUPS_UP_TO_12)
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_canonical_form_matches_branch_and_bound(n, index, data):
+    G = groups_of_order(n, cap=12)[index]
+    sigma = [0] + data.draw(st.permutations(list(range(1, n))))
+    H = validate_group(as_rows(relabel(G.np_op, sigma).tolist()))
+    C, witness = canonical_form(H)
+    C_ref, witness_ref = _canonical_form_branch_and_bound_reference(H)
     assert C.op == C_ref.op
     assert witness == witness_ref
 
@@ -674,8 +752,15 @@ def test_validate_group_matches_reference_scan_on_corrupted_tables(data):
         (np.array([[0.0, 1.0], [1.0, 0.0]]), (0, 0, np.float64(0))),
         ([[0, 1], [1, np.float64(0)]], (1, 1, np.float64(0))),
         ([[0, 5, 2], [1, 2, 0], [2, 0, 1.5]], (2, 2, 1.5)),  # before the range check
+        ([1, 2], (0, 0, 1)),  # a row that is not iterable is its own cell (i, 0)
+        (5, (0, 0, 5)),  # so is a table that is not iterable, at (0, 0)
+        (None, (0, 0, None)),
+        ([[0, 1], 5], (1, 0, 5)),
     ],
-    ids=["float", "strings", "float-array", "numpy-float", "after-out-of-range"],
+    ids=[
+        "float", "strings", "float-array", "numpy-float", "after-out-of-range",
+        "int-rows", "int", "none", "int-second-row",
+    ],
 )
 def test_non_integer_cells_are_not_truncated(table, cell):
     z2 = [[0, 1], [1, 0]]

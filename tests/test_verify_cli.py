@@ -17,6 +17,7 @@ from bracekit import verify
 from bracekit.braces import cyclic_brace
 from bracekit.cli import main
 from bracekit.enumeration import skew_braces_of_order
+from bracekit.errors import ParseError
 from bracekit.verify import (
     THEOREMS,
     TheoremVerdict,
@@ -57,8 +58,8 @@ def test_all_theorems_pass_orders_1_to_6():
 def test_theorem_selection_and_unknown_name():
     verdicts = run_theorems(_entries(1, 4), "orders 1..4", ["gap-5/8", "bounds"])
     assert [v.theorem_id for v in verdicts] == ["gap-5/8", "bounds"]
-    with pytest.raises(KeyError):
-        run_theorems(_entries(1, 2), "orders 1..2", ["no-such-theorem"])
+    with pytest.raises(ParseError, match="unknown theorems: no-such-theorem, other"):
+        run_theorems(_entries(1, 2), "orders 1..2", ["no-such-theorem", "bounds", "other"])
 
 
 def test_scope_limited_note_on_65_128():
