@@ -9,6 +9,7 @@ to new index.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -476,61 +477,68 @@ def canonical_form(G: GroupTable) -> tuple[GroupTable, Bijection]:
     1, ..., m-1, 0, m+1, ..., 2m-1, m, ..., exactly when ord(x) = m and the
     labels go out m at a time along those cosets: 0..m-1 to x^0..x^(m-1),
     then k..k+m-1 to u, xu, ..., x^(m-1) u for an unlabelled u, and so on.
-    The search walks just these relabelings, x and each u in index order.
-    Rows 0..m-1 are the same at every leaf, so leaves are compared on rows
-    m..n-1, and the lex-smallest sigma is kept among ties: the same table
-    and witness as a scan over all (n-1)! relabelings.
+    There are |{x : ord x = m}| * (n-m) * (n-2m) * ... * m such relabelings:
+    15 * 14 * 12 * ... * 2 = 9,676,800 for Z2^4.
 
-    There are |{x : ord x = m}| * (n-m) * (n-2m) * ... * m leaves: 384 for
-    Z10 against 9! = 362,880 relabelings, and 15 * 14 * 12 * ... * 2 =
-    9,676,800 for Z2^4.
+    Aut(G) acts freely on them by p -> alpha p, and relabelings in one orbit
+    give the same table (McKay-Piperno, Practical graph isomorphism II, JSC
+    60, 2014).  So the search walks one per orbit, and checks that it walked
+    the count above over |Aut(G)|, 480 for Z2^4: x least in its Aut(G)-orbit,
+    then each u least in its orbit under the automorphisms fixing x and every
+    labelled element, which fix the coset <x> u.  Leaves are compared on
+    rows m..n-1, as rows 0..m-1 are the same at each.  The relabelings that
+    give the least table are sigma o alpha, for its leaf sigma and every
+    alpha in Aut(G); the witness is the least of them, found by one lexsort.
     """
     n = G.n
     if n == 1:
         return G, (0,)
     op, orders = G.op, G.element_orders
+    auts = np.array(automorphism_group(G))
     m = min(k for k in orders if k > 1)
     label = [-1] * n  # sigma, -1 while unlabelled
     pre = [0] * n  # p on the labels handed out so far
     best: list[list[int]] = []  # rows m..n-1 of the least table so far
     best_sigma: Bijection = ()
+    leaves = 0
 
-    def walk(k: int, starts: Iterable[int]) -> None:
-        # labels 0..k-1 are handed out; give k..k+m-1 to a coset <x> u
-        nonlocal best, best_sigma
-        if k == n:
-            rows = []
-            tied = bool(best_sigma)
-            for i in range(m, n):
-                r = op[pre[i]]
-                row = [label[r[y]] for y in pre]
-                if tied:
-                    if row > best[i - m]:
-                        return
-                    tied = row == best[i - m]
-                rows.append(row)
-            sigma = tuple(label)
-            if not tied:
-                best, best_sigma = rows, sigma
-            elif sigma < best_sigma:
-                best_sigma = sigma
-            return
-        for u in starts:
-            if label[u] < 0:
-                y = u
-                for i in range(k, k + m):
-                    label[y], pre[i] = i, y
-                    y = xrow[y]
-                walk(k + m, range(1, n))
-                for y in pre[k : k + m]:
-                    label[y] = -1
+    def walk(k: int, u: int, stab: np.ndarray) -> None:
+        # labels 0..k-1 are handed out, stab fixes their elements: give k..k+m-1 to <x> u
+        nonlocal best, best_sigma, leaves
+        y = u
+        for i in range(k, k + m):
+            label[y], pre[i] = i, y
+            y = xrow[y]
+        if k + m == n:
+            leaves += 1
+            for p, b in zip(pre[m:], best):  # up to the first row that differs
+                row = [label[y] for y in map(op[p].__getitem__, pre)]
+                if row != b:
+                    break
+            if not best or row < b:
+                best = [[label[y] for y in map(op[p].__getitem__, pre)] for p in pre[m:]]
+                best_sigma = tuple(label)
+        else:
+            if len(stab) > 1:  # else stab is the identity alone, and each orbit one element
+                stab = stab[stab[:, u] == u]
+            least = stab.min(axis=0) if len(stab) > 1 else stab[0]  # least of each orbit
+            for v in range(1, n):
+                if label[v] < 0 and least[v] == v:
+                    walk(k + m, v, stab)
+        for y in pre[k : k + m]:
+            label[y] = -1
 
+    least = auts.min(axis=0)
     for x in range(1, n):
-        if orders[x] == m:
+        if orders[x] == m and least[x] == x:
             xrow = op[x]  # y -> x y
-            walk(0, (0,))
+            walk(0, 0, auts[auts[:, x] == x])
     del walk  # walk refers to itself: free it now, not at the next gc
-    return trusted_group(as_rows(relabel(G.np_op, best_sigma).tolist())), best_sigma
+    walks = orders.count(m) * math.prod(range(n - m, 0, -m))
+    require(leaves * len(auts) == walks, "leaves times |Aut(G)| is not the coset-walk count")
+    sigmas = np.array(best_sigma)[auts]  # sigma o alpha for every alpha
+    witness = tuple(sigmas[np.lexsort(sigmas.T[::-1])[0]].tolist())
+    return trusted_group(as_rows(relabel(G.np_op, witness).tolist())), witness
 
 
 def group_commuting_probability(G: GroupTable) -> Fraction:

@@ -29,7 +29,6 @@ from .probability import (
     cyclic_gcd_formula,
     has_five_eighths_shape,
     outer_centralizer_sizes,
-    strict_centralizer_hypothesis,
 )
 
 CatalogEntries = Sequence[tuple[tuple[int, int], SkewBrace]]
@@ -370,31 +369,3 @@ def run_theorems(
     entries: CatalogEntries, scope: str, names: Sequence[str] = ()
 ) -> list[TheoremVerdict]:
     return [THEOREMS[n](entries, scope) for n in select_theorems(names)]
-
-
-def open_question_observations(entries: CatalogEntries) -> dict:
-    """Reported-only observations: not asserted as theorems.
-
-    - whether any non-trivial brace satisfies the strict-centralizer
-      hypothesis Ann subsetneq Cb(x) for all x,
-    - whether any non-trivial brace has no proper non-trivial sub-brace
-      (a non-trivial simple-like candidate),
-    - whether some left-star chain term fails to be an ideal.
-    """
-    strict = []
-    no_proper_sub = []
-    star_left_non_ideal = []
-    for cid, B in entries:
-        if 1 < len(annihilator(B)) < B.n and strict_centralizer_hypothesis(B):
-            strict.append(list(cid))
-        if B.n > 1 and all(len(s) in (1, B.n) for s in sub_braces(B)):
-            no_proper_sub.append(list(cid))
-        for term in series(B, "star_left"):
-            if not classify_subset(B, term).is_ideal:
-                star_left_non_ideal.append(list(cid))
-                break
-    return {
-        "strict_centralizer_hypothesis": strict,
-        "no_proper_nontrivial_sub_brace": no_proper_sub,
-        "left_star_chain_term_not_ideal": star_left_non_ideal,
-    }

@@ -2,8 +2,12 @@
 
 import gc
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bracekit
 from bracekit.braces import validate_skew_brace
 from bracekit.enumeration import groups_of_order
 from bracekit.errors import (
@@ -388,6 +393,60 @@ def _canonical_form_branch_and_bound_reference(G):
     return trusted_group(as_rows(best)), best_sigma
 
 
+def _canonical_form_coset_walk_reference(G):
+    """The unpruned coset walk that canonical_form prunes by Aut(G), kept as
+    a reference for it.  With m the least order above 1, it walks every
+    relabeling that sends 0..m-1 to x^0..x^(m-1) for an x of order m and then
+    k..k+m-1 to u, xu, ..., x^(m-1) u for each unlabelled u, x and each u in
+    index order, and keeps the lex-smallest sigma among the least tables."""
+    n = G.n
+    if n == 1:
+        return G, (0,)
+    op, orders = G.op, G.element_orders
+    m = min(k for k in orders if k > 1)
+    label = [-1] * n  # sigma, -1 while unlabelled
+    pre = [0] * n  # p on the labels handed out so far
+    best: list[list[int]] = []  # rows m..n-1 of the least table so far
+    best_sigma: tuple = ()
+
+    def walk(k: int, starts: Iterable[int]) -> None:
+        # labels 0..k-1 are handed out; give k..k+m-1 to a coset <x> u
+        nonlocal best, best_sigma
+        if k == n:
+            rows = []
+            tied = bool(best_sigma)
+            for i in range(m, n):
+                r = op[pre[i]]
+                row = [label[r[y]] for y in pre]
+                if tied:
+                    if row > best[i - m]:
+                        return
+                    tied = row == best[i - m]
+                rows.append(row)
+            sigma = tuple(label)
+            if not tied:
+                best, best_sigma = rows, sigma
+            elif sigma < best_sigma:
+                best_sigma = sigma
+            return
+        for u in starts:
+            if label[u] < 0:
+                y = u
+                for i in range(k, k + m):
+                    label[y], pre[i] = i, y
+                    y = xrow[y]
+                walk(k + m, range(1, n))
+                for y in pre[k : k + m]:
+                    label[y] = -1
+
+    for x in range(1, n):
+        if orders[x] == m:
+            xrow = op[x]  # y -> x y
+            walk(0, (0,))
+    del walk  # walk refers to itself: free it now, not at the next gc
+    return trusted_group(as_rows(relabel(G.np_op, best_sigma).tolist())), best_sigma
+
+
 GROUPS_UP_TO_12 = [
     (n, i)
     for n, count in enumerate([1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5], start=1)
@@ -426,6 +485,80 @@ def test_canonical_witness_recovers_canonical_table():
     G = dihedral_group(4)
     C, sigma = canonical_form(G)
     assert as_rows(relabel(G.np_op, sigma).tolist()) == C.op
+
+
+@pytest.mark.parametrize("n,index", GROUPS_UP_TO_12)
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_canonical_form_matches_coset_walk(n, index, data):
+    G = groups_of_order(n, cap=12)[index]
+    sigma = [0] + data.draw(st.permutations(list(range(1, n))))
+    H = validate_group(as_rows(relabel(G.np_op, sigma).tolist()))
+    C, witness = canonical_form(H)
+    C_ref, witness_ref = _canonical_form_coset_walk_reference(H)
+    assert C.op == C_ref.op
+    assert witness == witness_ref
+
+
+def test_canonical_form_order_16():
+    # Z4 x Z4: |Aut| = 96, so the pruned walk has 1,935,360 / 96 = 20,160 leaves
+    G = direct_product_group(cyclic_group(4), cyclic_group(4))
+    sigma = [0] + (np.random.default_rng(16).permutation(15) + 1).tolist()
+    H = validate_group(as_rows(relabel(G.np_op, sigma).tolist()))
+    C, witness = canonical_form(G)
+    assert canonical_form(H)[0].op == C.op
+    assert as_rows(relabel(G.np_op, witness).tolist()) == C.op
+    sigmas = np.array(witness)[np.array(automorphism_group(G))]  # witness o alpha
+    assert min(map(tuple, sigmas.tolist())) == witness
+
+
+CANONICAL_FAULT_SCRIPT = """
+import sys
+from bracekit import groups
+from bracekit.errors import InvariantViolation
+if not sys.flags.optimize:
+    sys.exit(3)
+G = {group}
+auts = groups.automorphism_group(G)
+fake = (0, 2, 1) + tuple(range(3, G.n))  # swaps 1 and 2
+if fake in auts:
+    sys.exit(4)
+groups.automorphism_group = lambda H: auts + (fake,)
+try:
+    groups.canonical_form(G)
+except InvariantViolation as e:
+    print(e)
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        "groups.direct_product_group(groups.klein_four_group(), groups.cyclic_group(2))",
+        "groups.dihedral_group(4)",
+    ],
+    ids=["Z2^3", "D4"],
+)
+def test_canonical_form_leaf_count_catches_a_non_automorphism_under_python_O(group):
+    """The leaf count of canonical_form's pruned walk times |Aut(G)| must be
+    the unpruned count; one relabeling that is not an automorphism, passed
+    off as one, breaks it, also under python -O.  The check also catches a
+    dropped automorphism, except where |Aut(G)| = 2: the identity alone
+    prunes nothing, and the walk then has the unpruned count.
+    test_canonical_form_matches_coset_walk covers that case."""
+    src = str(Path(bracekit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CANONICAL_FAULT_SCRIPT.format(group=group)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "leaves times |Aut(G)| is not the coset-walk count\n"
 
 
 def test_holomorph_orders_and_regular_subgroups():

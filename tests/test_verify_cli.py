@@ -14,16 +14,12 @@ from hypothesis import strategies as st
 
 import bracekit
 from bracekit import verify
-from bracekit.braces import cyclic_brace
+from bracekit.braces import annihilator, classify_subset, cyclic_brace, series, sub_braces
 from bracekit.cli import main
 from bracekit.enumeration import skew_braces_of_order
 from bracekit.errors import ParseError
-from bracekit.verify import (
-    THEOREMS,
-    TheoremVerdict,
-    open_question_observations,
-    run_theorems,
-)
+from bracekit.probability import strict_centralizer_hypothesis
+from bracekit.verify import THEOREMS, CatalogEntries, TheoremVerdict, run_theorems
 
 
 def _entries(lo, hi):
@@ -74,8 +70,36 @@ def test_check_gap_compares_values(monkeypatch):
     assert v.violations == (((4, 2), "Pb = 7/10 lies outside {1, 3/4} and (0, 5/8]"),)
 
 
+def _open_question_observations(entries: CatalogEntries) -> dict:
+    """Observations on open questions, not asserted as theorems:
+
+    - whether any non-trivial brace satisfies the strict-centralizer
+      hypothesis Ann subsetneq Cb(x) for all x,
+    - whether any non-trivial brace has no proper non-trivial sub-brace
+      (a non-trivial simple-like candidate),
+    - whether some left-star chain term fails to be an ideal.
+    """
+    strict = []
+    no_proper_sub = []
+    star_left_non_ideal = []
+    for cid, B in entries:
+        if 1 < len(annihilator(B)) < B.n and strict_centralizer_hypothesis(B):
+            strict.append(list(cid))
+        if B.n > 1 and all(len(s) in (1, B.n) for s in sub_braces(B)):
+            no_proper_sub.append(list(cid))
+        for term in series(B, "star_left"):
+            if not classify_subset(B, term).is_ideal:
+                star_left_non_ideal.append(list(cid))
+                break
+    return {
+        "strict_centralizer_hypothesis": strict,
+        "no_proper_nontrivial_sub_brace": no_proper_sub,
+        "left_star_chain_term_not_ideal": star_left_non_ideal,
+    }
+
+
 def test_open_question_observations():
-    obs = open_question_observations(_entries(1, 8))
+    obs = _open_question_observations(_entries(1, 8))
     # the only braces with no proper non-trivial sub-brace are the trivial
     # braces of prime order
     assert obs["no_proper_nontrivial_sub_brace"] == [[2, 1], [3, 1], [5, 1], [7, 1]]
