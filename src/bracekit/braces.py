@@ -454,15 +454,16 @@ def is_brace_isomorphic(A: SkewBrace, B: SkewBrace) -> bool:
 def canonical_pair(B: SkewBrace) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Lexicographically minimal (add, mul) table pair over relabelings fixing 0.
 
-    The minimizers of the add component are exactly the relabelings onto the
-    additive canonical form composed with its automorphisms, so only those
-    need scanning for the mul component: all of them are applied to the mul
-    table at once, and the row-major least result is kept.
+    The minimizers of the add component are exactly sigma0 o alpha, for the
+    witness sigma0 of the additive canonical form and every alpha in
+    Aut(B.add), so only those need scanning for the mul component: all of
+    them are applied to the mul table at once, and the row-major least
+    result is kept.
     """
     n = B.n
     add_c, sigma0 = canonical_form(B.add)
-    # sigmas[k] = alpha_k . sigma0 (old -> new), pre[k] its inverse (new -> old)
-    sigmas = np.array(automorphism_group(add_c))[:, list(sigma0)]
+    # sigmas[k] = sigma0 . alpha_k (old -> new), pre[k] its inverse (new -> old)
+    sigmas = np.array(sigma0)[np.array(automorphism_group(B.add))]
     pre = np.argsort(sigmas, axis=1)
     # cell (i, j) of relabeling k is sigma_k(pre_k(i) o pre_k(j))
     old = B.mul.np_op[pre[:, :, None], pre[:, None, :]].reshape(len(sigmas), n * n)
@@ -472,8 +473,8 @@ def canonical_pair(B: SkewBrace) -> tuple[tuple[tuple[int, ...], ...], tuple[tup
 
 
 def canonical_brace(B: SkewBrace) -> SkewBrace:
-    add_rows, mul_rows = canonical_pair(B)
-    return SkewBrace(n=B.n, add=trusted_group(add_rows), mul=trusted_group(mul_rows))
+    _, mul_rows = canonical_pair(B)
+    return SkewBrace(n=B.n, add=canonical_form(B.add)[0], mul=trusted_group(mul_rows))
 
 
 def sub_braces(B: SkewBrace) -> list[ElementSet]:

@@ -65,6 +65,8 @@ def _parse_orders(text: str) -> tuple[int, int]:
 def cmd_validate(args) -> int:
     try:
         brace = _load_brace(args.path)
+    except InvariantViolation:
+        raise  # a failed cross-check, not bad input: main exits 1
     except BraceKitError as exc:
         _emit({"valid": False, "error": str(exc)})
         return EXIT_INPUT_ERROR

@@ -105,15 +105,42 @@ def trusted_group(op: tuple[tuple[int, ...], ...]) -> GroupTable:
 def validate_group(table: Sequence[Sequence[int]]) -> GroupTable:
     """Validate a Cayley table and return the corresponding GroupTable.
 
-    Raises IdentityNotZero, NotLatinSquare or NotAssociative naming the first
-    violating cell or triple.
+    Each test runs once on the int64 table and raises for the first cell it
+    finds: NotLatinSquare out of range, row-major; IdentityNotZero in row 0,
+    then column 0; NotLatinSquare at the first repeat of the first row that
+    is not a permutation.  Light's test takes z over the generating sequence
+    S: the z with (xy)z = x(yz) for all x, y include 0 and are closed under
+    products, so they are everything once they hold S.  The columns need no
+    test before it: an associative table with identity whose rows are
+    permutations has inverses.  A table that fails it is searched for the
+    first repeat in a column, column-major, then for the first bad triple.
     """
     op, arr = _square_rows(table)
-    gens = None if arr is None else _group_generators(op, arr)
-    if gens is None:
-        _raise_first_table_fault(op)
+    n = len(op)
+    cells = np.array(op, dtype=object) if arr is None else arr  # None: a cell overflows int64
+    out = (cells < 0) | (cells >= n)
+    if out.any():
+        i, j = map(int, np.argwhere(out)[0])
+        raise NotLatinSquare(i, j, op[i][j])
+    ids = np.arange(n)
+    off_row, off_col = np.flatnonzero(arr[0] != ids), np.flatnonzero(arr[:, 0] != ids)
+    if len(off_row):
+        raise IdentityNotZero(0, int(off_row[0]))
+    if len(off_col):
+        raise IdentityNotZero(int(off_col[0]), 0)
+    repeat = _first_repeat(arr)
+    if repeat is not None:
+        i, j = repeat
+        raise NotLatinSquare(i, j, op[i][j])
+    gens = generators(op)
+    C = arr[:, list(gens)]  # C[y, k] = y s_k
+    if not (C[arr] == np.take(arr, C, axis=1)).all():
+        repeat = _first_repeat(arr.T)
+        if repeat is not None:
+            j, i = repeat
+            raise NotLatinSquare(i, j, op[i][j])
         bad = np.argwhere(arr[arr] != arr[:, arr])  # (xy)z != x(yz) at [x, y, z]
-        require(len(bad) > 0, "group tests and table scans disagree")
+        require(len(bad) > 0, "Light's test and the associativity scan disagree")
         raise NotAssociative(*map(int, bad[0]))
     G = trusted_group(op)
     arr.flags.writeable = False
@@ -121,28 +148,19 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupTable:
     return G
 
 
-def _group_generators(op: tuple[tuple[int, ...], ...], arr: np.ndarray) -> Optional[ElementSet]:
-    """generators(op) if the table is a group, else None.
-
-    Tests that every cell is in range, row 0 and column 0 are the identity,
-    every row is a permutation, and Light's test with z over the generating
-    sequence S: the z with (xy)z = x(yz) for all x, y include 0 and are
-    closed under products, so they are everything once they hold S.  The
-    columns need no test: an associative table with identity whose rows are
-    permutations has inverses, so it is a group.  A failure costs the
-    caller the scans and the n^3 comparison that name the first fault.
-    """
+def _first_repeat(arr: np.ndarray) -> Optional[tuple[int, int]]:
+    """(i, j) for the first row i of a square table over 0..n-1 that is not
+    a permutation and the first j whose value occurs earlier in row i, or
+    None if every row is a permutation."""
     n = len(arr)
-    ids = np.arange(n)
-    if not ((arr >= 0) & (arr < n)).all():
-        return None
     in_row = np.zeros((n, n), dtype=bool)
-    in_row[ids[:, None], arr] = True  # the value of cell (i, j) occurs in row i
-    if not (in_row.all() and (arr[0] == ids).all() and (arr[:, 0] == ids).all()):
+    in_row[np.arange(n)[:, None], arr] = True  # the value of cell (i, j) occurs in row i
+    if in_row.all():
         return None
-    gens = generators(op)
-    C = arr[:, list(gens)]  # C[y, k] = y s_k
-    return gens if (C[arr] == np.take(arr, C, axis=1)).all() else None
+    i = int(np.argmin(in_row.all(axis=1)))
+    first = np.zeros(n, dtype=bool)
+    first[np.unique(arr[i], return_index=True)[1]] = True  # the first cell of each value
+    return i, int(np.argmin(first))
 
 
 def _square_rows(
@@ -192,35 +210,6 @@ def _int_cell(i: int, j: int, v: object) -> int:
         return operator.index(v)
     except TypeError:
         raise NotLatinSquare(i, j, v) from None
-
-
-def _raise_first_table_fault(op: tuple[tuple[int, ...], ...]) -> None:
-    """Scan a square table for the first cell out of range, off the identity
-    row or column, or repeated in a row or column, and raise for it."""
-    n = len(op)
-    for i, row in enumerate(op):
-        for j, v in enumerate(row):
-            if not 0 <= v < n:
-                raise NotLatinSquare(i, j, v)
-    for j in range(n):
-        if op[0][j] != j:
-            raise IdentityNotZero(0, j)
-    for i in range(n):
-        if op[i][0] != i:
-            raise IdentityNotZero(i, 0)
-    for i in range(n):
-        seen: set[int] = set()
-        for j, v in enumerate(op[i]):
-            if v in seen:
-                raise NotLatinSquare(i, j, v)
-            seen.add(v)
-    for j in range(n):
-        seen = set()
-        for i in range(n):
-            v = op[i][j]
-            if v in seen:
-                raise NotLatinSquare(i, j, v)
-            seen.add(v)
 
 
 def prime_divisors(n: int) -> list[int]:

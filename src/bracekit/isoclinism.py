@@ -51,10 +51,11 @@ def induced_tables(
     relabelled by rank and not yet validated; kind is
     classify_subset(B, members), and NotASubBrace is raised unless it says
     sub-brace."""
+    members = sorted(members)
     if not kind.is_sub_brace:
-        raise NotASubBrace(f"{list(members)} is not a sub-brace")
+        raise NotASubBrace(f"{members} is not a sub-brace")
     rank = np.zeros(B.n, dtype=np.int64)
-    rank[list(members)] = np.arange(len(members))
+    rank[members] = np.arange(len(members))
     cells = np.ix_(members, members)
     return rank[B.add.np_op[cells]], rank[B.mul.np_op[cells]]
 

@@ -12,6 +12,7 @@ from bracekit.braces import (
     SkewBrace,
     annihilator,
     brace_isomorphisms,
+    canonical_brace,
     canonical_pair,
     classify_subset,
     cyclic_brace,
@@ -367,6 +368,18 @@ def test_canonical_pair_matches_per_automorphism_reference(data):
         )
         # catalog braces are already canonical
         assert canonical_pair(C) == _canonical_pair_reference(C) == (B.add.op, B.mul.op)
+
+
+def test_canonical_brace_shares_the_additive_canonical_form():
+    B = BRACES[-1]
+    sigma = [0] + list(range(B.n - 1, 0, -1))
+    C = validate_skew_brace(
+        relabel(B.add.np_op, sigma).tolist(), relabel(B.mul.np_op, sigma).tolist()
+    )
+    assert canonical_brace(C).add is canonical_form(C.add)[0]
+    # the 47 braces of order 8 hold one additive table per group of order 8
+    adds = [canonical_brace(B).add for B in BRACES if B.n == 8]
+    assert len(adds) == 47 and len({id(A) for A in adds}) == 5
 
 
 def test_structure_flags_of_known_braces():

@@ -870,10 +870,16 @@ def test_validate_group_matches_reference_scan_on_corrupted_tables(data):
     G = data.draw(st.sampled_from(VALIDATION_GROUPS))
     n = G.n
     table = [list(row) for row in G.op]
-    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-    table[i][j] = data.draw(
-        st.one_of(st.integers(-2, n + 1), st.sampled_from([2**63, -(2**64), 10**30]))
-    )
+    if n >= 3 and data.draw(st.booleans()):
+        # swap two cells of a row off row 0 and column 0: rows stay permutations, two columns break
+        i = data.draw(st.integers(1, n - 1))
+        j, k = data.draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=2, unique=True))
+        table[i][j], table[i][k] = table[i][k], table[i][j]
+    else:
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        table[i][j] = data.draw(
+            st.one_of(st.integers(-2, n + 1), st.sampled_from([2**63, -(2**64), 10**30]))
+        )
     assert _outcome(validate_group, table) == _outcome(_validate_group_reference, table)
 
 

@@ -145,6 +145,7 @@ def test_induced_brace_rejects_a_subset_that_is_not_a_sub_brace():
             induced_brace(B, members)
     H = induced_brace(B, (0, 2))
     assert H.n == 2 and H.add.op == ((0, 1), (1, 0))
+    assert induced_brace(B, (2, 0)) == induced_brace(B, {0, 2}) == H  # members ranked sorted
 
 
 def _commutator(G, a, b):

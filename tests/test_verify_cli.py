@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracekit
-from bracekit import verify
+from bracekit import braces, verify
 from bracekit.braces import annihilator, classify_subset, cyclic_brace, series, sub_braces
 from bracekit.cli import main
 from bracekit.enumeration import skew_braces_of_order
-from bracekit.errors import ParseError
+from bracekit.errors import InvariantViolation, ParseError
 from bracekit.probability import strict_centralizer_hypothesis
 from bracekit.verify import THEOREMS, CatalogEntries, TheoremVerdict, run_theorems
 
@@ -140,6 +140,18 @@ def test_cli_validate_rejects_garbage(tmp_path, capsys):
     nonbrace = tmp_path / "nonbrace.json"
     nonbrace.write_text(json.dumps({"n": 2, "add": [[0, 1], [1, 0]], "mul": [[1, 0], [0, 1]]}))
     assert main(["validate", str(nonbrace)]) == 2
+
+
+def test_cli_validate_reports_a_failed_cross_check_as_exit_1(brace_file, capsys, monkeypatch):
+    def broken(B):
+        raise InvariantViolation("injected")
+
+    monkeypatch.setattr(braces, "_assert_lambda_laws", broken)
+    for command in ("validate", "analyze"):
+        assert main([command, brace_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cross-check failed: injected\n"
 
 
 def test_cli_analyze(brace_file, capsys):
