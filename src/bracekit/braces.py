@@ -88,6 +88,16 @@ class SkewBrace:
         require(classify_subset(self, ann).is_ideal, "Ann(B) is not an ideal")
         return ker, soc, ann
 
+    @cached_property
+    def ann_chain(self) -> tuple[ElementSet, ...]:
+        """series(B, 'ann'), computed once per brace."""
+        return tuple(_chain(self, "ann"))
+
+    @cached_property
+    def gamma_chain(self) -> tuple[ElementSet, ...]:
+        """series(B, 'gamma'), computed once per brace."""
+        return tuple(_chain(self, "gamma"))
+
 
 @dataclass(frozen=True, eq=False)
 class Centralizers:
@@ -371,13 +381,25 @@ def quotient_tables(B: SkewBrace, I: Iterable[int]) -> tuple[np.ndarray, np.ndar
 
 
 def series(B: SkewBrace, kind: str) -> list[ElementSet]:
-    """Terms of one of the four standard chains, until stabilization.
+    """Terms of one of the four standard chains, until stabilization, as a
+    new list.
 
     kind 'ann' ascends from Ann(B).  'gamma', 'star_left' and 'star_right'
     descend from B: after G comes the additive subgroup generated by B*G,
     G*B and [B, G]_+, by B*G, or by G*B, read from the tables.  Gamma and
     star_right terms are verified to be ideals, star_left terms left ideals.
+    The ann and gamma chains are kept on the brace; the star chains are
+    derived per call.
     """
+    if kind == "ann":
+        return list(B.ann_chain)
+    if kind == "gamma":
+        return list(B.gamma_chain)
+    return _chain(B, kind)
+
+
+def _chain(B: SkewBrace, kind: str) -> list[ElementSet]:
+    """The terms of series(B, kind), derived from the tables."""
     S, gp = B.star_table, B.gamma_plus_table
     if kind == "ann":
         terms = [annihilator(B)]
@@ -478,21 +500,10 @@ def canonical_brace(B: SkewBrace) -> SkewBrace:
 
 
 def sub_braces(B: SkewBrace) -> list[ElementSet]:
-    """All sub-skew braces, via closure of generator subsets with dedup."""
-    found: set[ElementSet] = {(0,), tuple(range(B.n))}
-    frontier = [(0,)]
-    while frontier:
-        new: list[ElementSet] = []
-        for S in frontier:
-            for g in range(1, B.n):
-                if g in S:
-                    continue
-                T = sub_brace_closure(B, S + (g,))
-                if T not in found:
-                    found.add(T)
-                    new.append(T)
-        frontier = new
-    return sorted(found, key=lambda s: (len(s), s))
+    """All sub-skew braces, sorted by (order, members): the subgroups of
+    (B, +) that are closed under o, from the subgroup lattice kept on the
+    additive table."""
+    return [H for H in B.add.subgroups if is_subgroup(B.mul, H)]
 
 
 def ideals(B: SkewBrace) -> list[ElementSet]:

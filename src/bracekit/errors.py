@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import operator
+
 
 class BraceKitError(Exception):
     """Base class for all bracekit errors."""
@@ -92,7 +94,13 @@ def require(cond: bool, msg: str) -> None:
 
 
 def check_indices(n: int, *xs: int) -> None:
-    """Raise IndexOutOfRange for the first x that is not an element 0..n-1."""
+    """Raise IndexOutOfRange for the first x that is not an element 0..n-1:
+    an integer in range, as operator.index reads it, so Python and numpy
+    ints and bools pass and floats and strings do not."""
     for x in xs:
-        if not 0 <= x < n:
+        try:
+            i = operator.index(x)
+        except TypeError:
+            raise IndexOutOfRange(x, n) from None
+        if not 0 <= i < n:
             raise IndexOutOfRange(x, n)

@@ -74,6 +74,20 @@ class GroupTable:
         return generators(self.op)
 
     @cached_property
+    def subgroups(self) -> tuple[ElementSet, ...]:
+        """Every subgroup, sorted by (order, members): from the trivial
+        subgroup, the closure of each subgroup found with each element
+        outside it, until no closure is new."""
+        found = [(0,)]
+        for S in found:  # found grows while it is walked
+            for g in range(1, self.n):
+                if g not in S:
+                    T = closure((self.op,), S + (g,))
+                    if T not in found:
+                        found.append(T)
+        return tuple(sorted(found, key=lambda s: (len(s), s)))
+
+    @cached_property
     def element_orders(self) -> tuple[int, ...]:
         orders = []
         for a in range(self.n):
@@ -142,9 +156,10 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupTable:
         bad = np.argwhere(arr[arr] != arr[:, arr])  # (xy)z != x(yz) at [x, y, z]
         require(len(bad) > 0, "Light's test and the associativity scan disagree")
         raise NotAssociative(*map(int, bad[0]))
-    G = trusted_group(op)
-    arr.flags.writeable = False
-    G.__dict__.update(np_op=arr, generators=gens)  # the cached properties, already at hand
+    inv = arr.argmin(axis=1)  # each row is a permutation: the column of its 0
+    G = GroupTable(n=n, op=op, inv=tuple(inv.tolist()))
+    arr.flags.writeable = inv.flags.writeable = False
+    G.__dict__.update(np_op=arr, np_inv=inv, generators=gens)  # the cached properties, already at hand
     return G
 
 

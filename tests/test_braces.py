@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bracekit import braces
 from bracekit.braces import (
     SkewBrace,
     annihilator,
@@ -26,6 +27,7 @@ from bracekit.braces import (
     nilpotency_class,
     opposite_brace,
     quotient_brace,
+    quotient_tables,
     series,
     socle_and_annihilator,
     star,
@@ -45,12 +47,21 @@ from bracekit.groups import (
     closure,
     cyclic_group,
     dihedral_group,
+    is_conjugation_closed,
+    is_normal,
+    is_subgroup,
     klein_four_group,
     quaternion_group,
+    quotient_group,
+    quotient_table,
     relabel,
+    subgroup_closure,
     validate_group,
 )
+from bracekit.isoclinism import gamma2, induced_brace, isoclinism_data
 from bracekit.probability import centralizer_suite
+from bracekit.report import brace_report
+from bracekit.verify import check_ann_gamma
 
 BRACES = [e.brace for n in range(1, 9) for e in skew_braces_of_order(n).entries]
 
@@ -194,6 +205,36 @@ def test_unknown_series_kind_is_a_parse_error():
         series(cyclic_brace(4, 2), "lower")
 
 
+def test_series_returns_a_new_list_each_call():
+    B = validate_skew_brace(BRACES[-1].add.op, BRACES[-1].mul.op)
+    for kind in ("ann", "gamma", "star_left", "star_right"):
+        terms = series(B, kind)
+        expected = list(terms)
+        terms.append((0,))
+        terms[0] = ()
+        assert series(B, kind) == expected
+
+
+def test_ann_and_gamma_chains_are_derived_once_per_brace(monkeypatch):
+    derived = []
+    chain = braces._chain
+
+    def counting(B, kind):
+        derived.append(kind)
+        return chain(B, kind)
+
+    monkeypatch.setattr(braces, "_chain", counting)
+    for C in BRACES:
+        B = validate_skew_brace(C.add.op, C.mul.op)  # a fresh copy: nothing is kept on it yet
+        derived.clear()
+        for _ in range(2):
+            nilpotency_class(B), gamma2(B), brace_report(B), isoclinism_data(B)
+            check_ann_gamma([((B.n, 1), B)], "s")
+        assert sorted(derived) == ["ann", "gamma"]
+        series(B, "star_left"), series(B, "star_right"), series(B, "star_left")
+        assert sorted(derived[2:]) == ["star_left", "star_left", "star_right"]  # derived per call
+
+
 def test_element_arguments_are_range_checked():
     B = cyclic_brace(4, 2)
     calls = [
@@ -210,6 +251,54 @@ def test_element_arguments_are_range_checked():
         for x in (-1, 4):
             with pytest.raises(IndexOutOfRange, match=f"element index {x} out of range for order 4"):
                 call(x)
+
+
+B4 = cyclic_brace(4, 2)
+SUBSET_ROUTINES = {
+    "is_subgroup": lambda S: is_subgroup(B4.add, S),
+    "is_conjugation_closed": lambda S: is_conjugation_closed(B4.mul, S),
+    "is_normal": lambda S: is_normal(B4.add, S),
+    "subgroup_closure": lambda S: subgroup_closure(B4.add, S),
+    "quotient_table": lambda S: quotient_table(B4.add, S),
+    "quotient_group": lambda S: quotient_group(B4.add, S),
+    "classify_subset": lambda S: classify_subset(B4, S),
+    "sub_brace_closure": lambda S: sub_brace_closure(B4, S),
+    "ideal_closure": lambda S: ideal_closure(B4, S),
+    "quotient_tables": lambda S: quotient_tables(B4, S),
+    "quotient_brace": lambda S: quotient_brace(B4, S),
+    "induced_brace": lambda S: induced_brace(B4, S),
+}
+
+
+@pytest.mark.parametrize("bad", ["a", 1.0, 2.5, None], ids=["str", "float", "fraction", "none"])
+@pytest.mark.parametrize("routine", SUBSET_ROUTINES.values(), ids=SUBSET_ROUTINES)
+def test_subset_routines_reject_non_integer_members(routine, bad):
+    # 1.0 and 2.5 lie in range: only the integer check rejects them
+    with pytest.raises(IndexOutOfRange, match="out of range for order 4") as exc:
+        routine([0, bad])
+    assert exc.value.index is bad
+
+
+def _plain(x):
+    """x with arrays as lists, inside tuples too, so that == compares values."""
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    return tuple(map(_plain, x)) if isinstance(x, tuple) else x
+
+
+def _outcome(routine, members):
+    """The result, or the type of the error raised (its message may quote
+    the members)."""
+    try:
+        return _plain(routine(members))
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("routine", SUBSET_ROUTINES.values(), ids=SUBSET_ROUTINES)
+def test_subset_routines_take_numpy_ints_and_bools(routine):
+    assert _outcome(routine, [np.int64(0), np.uint8(2)]) == _outcome(routine, [0, 2])
+    assert _outcome(routine, [False, True]) == _outcome(routine, [0, 1])
 
 
 def test_nilpotency_of_trivial_nonnilpotent_group():
@@ -258,6 +347,33 @@ def test_sub_braces_match_subset_scan():
     assert len(BRACES) == 62
     for B in BRACES:
         assert sub_braces(B) == _sub_braces_reference(B)
+
+
+def _sub_braces_closure_reference(B):
+    """The search sub_braces ran before it read the additive subgroup
+    lattice: from {0}, the closure in both tables of each sub-brace found
+    with each element outside it, until no closure is new."""
+    found = {(0,), tuple(range(B.n))}
+    frontier = [(0,)]
+    while frontier:
+        new = []
+        for S in frontier:
+            for g in range(1, B.n):
+                if g in S:
+                    continue
+                T = closure((B.add.op, B.mul.op), S + (g,))
+                if T not in found:
+                    found.add(T)
+                    new.append(T)
+        frontier = new
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+def test_sub_braces_match_closure_reference_to_order_12():
+    catalog = [e.brace for n in range(1, 13) for e in skew_braces_of_order(n, cap=12).entries]
+    assert len(catalog) == 111
+    for B in catalog:
+        assert sub_braces(B) == _sub_braces_closure_reference(B)
 
 
 def test_quotient_brace_cosets_agree():

@@ -229,6 +229,26 @@ def _all_subgroups(G):
     return sorted(found)
 
 
+def _subgroups_subset_scan(G):
+    """Every subset containing 0 and closed under the table (so, being
+    finite, a subgroup), sorted by (order, members); one boolean array test
+    over all 2^(n-1) subsets at once."""
+    n = G.n
+    masks = np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1) & 1 == 1
+    inside = np.hstack([np.ones((len(masks), 1), dtype=bool), masks])  # inside[k, x]: x in subset k
+    pairs = inside[:, :, None] & inside[:, None, :]
+    closed = (inside[:, G.np_op] | ~pairs).all(axis=(1, 2))
+    found = [tuple(np.flatnonzero(row).tolist()) for row in inside[closed]]
+    return tuple(sorted(found, key=lambda s: (len(s), s)))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_subgroups_match_subset_scan(n):
+    for G in groups_of_order(n, cap=12):
+        assert G.subgroups == _subgroups_subset_scan(G)
+        assert G.subgroups is G.subgroups  # kept on the table
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_quotient_table_matches_coset_loop(n):
     for G in groups_of_order(n, cap=12):
@@ -803,6 +823,17 @@ def test_generators_match_reference_on_relabelled_tables(data):
     sigma = [0] + data.draw(st.permutations(range(1, G.n)))
     H = validate_group(relabel(G.np_op, sigma).tolist())
     assert H.generators == generators(H.op) == tuple(_generating_sequence(H))
+
+
+def test_validate_group_hands_over_the_scanned_inverses():
+    tables = [G.op for n in range(1, 13) for G in groups_of_order(n, cap=12)]
+    tables += [cyclic_group(n).op for n in range(13, 65)]
+    for op in tables:
+        scanned = tuple(row.index(0) for row in op)
+        G = validate_group(op)
+        assert G.inv == trusted_group(op).inv == scanned
+        assert G.np_inv.dtype == np.int64 and not G.np_inv.flags.writeable
+        assert G.np_inv.tolist() == list(scanned)
 
 
 def test_direct_product_group_shape():
