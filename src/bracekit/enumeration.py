@@ -31,7 +31,7 @@ from .groups import (
     holomorph,
     is_isomorphic,
     prime_divisors,
-    regular_subgroups,
+    regular_subgroups_through,
     trusted_group,
     validate_group,
 )
@@ -148,32 +148,55 @@ def _conjugacy_orbits(
 ) -> list[tuple[tuple[Bijection, ...], int]]:
     """Orbits of the regular subgroups of hol under conjugation by the group
     that gens generates, as (first subgroup, orbit size) in the order of
-    regular_subgroups.
+    regular_subgroups; a subgroup is its Cayley table, whose row a is the
+    member of hol.perms sending 0 to a.
 
-    A regular subgroup N is held as regular_subgroups gives it, as the rows
-    of its Cayley table: row a is the member sending 0 to a.  Conjugation by
-    alpha sends member p to x -> alpha(p(alpha^-1(x))), which sends 0 to
-    alpha(p(0)), so row alpha^-1(b) of N becomes row b of its image.  Each
-    orbit is collected by a walk from its first subgroup along the
-    generators."""
-    conjugators = [(alpha, np.argsort(alpha).tolist()) for alpha in gens]
-    tables = regular_subgroups(hol)
-    todo = set(tables)
+    Conjugation by alpha sends p to alpha p alpha^-1, which sends 0 to
+    alpha(p(0)).  So an orbit of members meets those sending 0 to 1 in one
+    class under the alpha fixing 1, and its least member is the least of
+    that class, hol.perms being sorted: the root.  The search runs through
+    the roots alone.  N holds a member sending 0 to 1, conjugate to a root
+    by some alpha fixing 1, and conjugating N by alpha gives a subgroup
+    found through that root.  One walk closes the subgroups found under
+    conjugation by gens, row alpha^-1(b) of N becoming row b of its image;
+    a subgroup is keyed by the hol.perms indices of its rows, with one index
+    map per generator.  The subgroups in the closure whose member sending 0
+    to 1 is a root must be exactly those found.
+    """
+    P = np.array(hol.perms)
+    maps = []  # for each alpha in gens: i -> index of alpha hol.perms[i] alpha^-1, and alpha^-1
+    for alpha in gens:
+        a = np.array(alpha)
+        inv = np.argsort(a)
+        order = np.lexsort(a[P[:, inv]].T[::-1])  # row order[j] of the conjugates is P[j], P being sorted
+        maps.append((np.argsort(order), inv))
+    ids = np.arange(len(P))
+    least = ids  # the least index in each orbit, once no generator's image lowers it
+    while True:
+        step = np.minimum.reduce([least] + [least[conj] for conj, _ in maps])
+        step = step[step]  # and the least found for that one, in the same orbit
+        if (step == least).all():
+            break
+        least = step
+    roots = {i for i in np.flatnonzero(least == ids).tolist() if hol.perms[i][0] == 1}
+    found = regular_subgroups_through(hol, roots)
+    done: set[tuple[int, ...]] = set()
     orbits = []
-    for first in tables:
-        if first not in todo:
-            continue
-        todo.remove(first)
-        orbit = [first]
-        for N in orbit:  # orbit grows while it is walked
-            for alpha, inv in conjugators:
-                rows = (map(alpha.__getitem__, map(N[i].__getitem__, inv)) for i in inv)
-                image = tuple(map(tuple, rows))
-                if image in todo:
-                    todo.remove(image)
-                    orbit.append(image)
-        orbits.append((first, len(orbit)))
-    return orbits
+    for first in found:
+        if first not in done:
+            done.add(first)
+            orbit = [first]
+            for N in orbit:  # orbit grows while it is walked
+                key = np.array(N)
+                for conj, inv in maps:
+                    image = tuple(conj[key[inv]].tolist())
+                    if image not in done:
+                        done.add(image)
+                        orbit.append(image)
+            orbits.append((min(orbit), len(orbit)))
+    rooted = {N for N in done if roots.issuperset(N[1:2])}  # n = 1: no member sends 0 to 1
+    require(rooted == set(found), "the search through the roots and the orbit walk disagree")
+    return [(tuple(map(hol.perms.__getitem__, first)), size) for first, size in sorted(orbits)]
 
 
 def skew_braces_on(A: GroupTable, cap: Optional[int] = None) -> list[SkewBrace]:
@@ -187,23 +210,24 @@ def skew_braces_on(A: GroupTable, cap: Optional[int] = None) -> list[SkewBrace]:
     stabiliser of a subgroup is Aut(B) of its brace B.  So one subgroup per
     Aut(A)-orbit is validated and canonicalised, and two exact cross-checks
     hold: orbit size times |Aut(B)| is |Aut(A)| (orbit-stabiliser), with
-    |Aut(B)| counted as the automorphisms of A that preserve B's
-    multiplication, and distinct orbits give distinct canonical braces.
+    |Aut(B)| counted, by one array test over the stacked Aut(A), as the
+    automorphisms of A that preserve B's multiplication, and distinct orbits
+    give distinct canonical braces.
     """
     _check_cap(A.n, cap)
     hol = holomorph(A)
     auts = automorphism_group(A)
     gens = greedy_generators(auts, lambda x, g: tuple(map(x.__getitem__, g)))  # x after g
+    stacked = np.array(auts)  # row k is alpha_k
     out = set()
     for mul_rows, size in _conjugacy_orbits(hol, gens):
         regular = all(row[0] == a for a, row in enumerate(mul_rows))
         require(regular, "regular subgroup does not act regularly")
         B = validate_skew_brace(A, validate_group(mul_rows))
         mul = B.mul.np_op
-        stabiliser = 0
-        for alpha in auts:
-            m = np.array(alpha)
-            stabiliser += bool((m[mul] == mul[m[:, None], m[None, :]]).all())
+        # [k, x, y]: alpha_k(x o y) == alpha_k(x) o alpha_k(y)
+        kept = stacked[:, mul] == mul[stacked[:, :, None], stacked[:, None, :]]
+        stabiliser = int(np.count_nonzero(kept.reshape(len(auts), -1).all(axis=1)))
         require(size * stabiliser == len(auts), "orbit size times |Aut(B)| is not |Aut(A)|")
         canonical = canonical_brace(B)
         require(canonical not in out, "two Aut(A)-orbits give isomorphic braces")

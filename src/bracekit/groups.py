@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Container, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -310,12 +310,6 @@ def is_conjugation_closed(G: GroupTable, H: Iterable[int]) -> bool:
     members = set(H)
     check_indices(G.n, *members)
     return all(members.issuperset(G.conjugates[h]) for h in members)
-
-
-def commutator_subgroup(G: GroupTable) -> ElementSet:
-    comms = np.zeros(G.n, dtype=bool)
-    comms[G.commutator_table] = True
-    return subgroup_closure(G, np.flatnonzero(comms).tolist())
 
 
 def is_normal(G: GroupTable, H: Iterable[int]) -> bool:
@@ -647,7 +641,17 @@ def _uniform_cycle_length(perm: Sequence[int]) -> Optional[int]:
 def regular_subgroups(hol: Holomorph) -> list[tuple[Bijection, ...]]:
     """All order-n subgroups of Hol acting regularly on 0..n-1, each as its
     Cayley table: the members ordered by image of 0, so row a is the member
-    sending 0 to a and the rows are objects of hol.perms.  Sorted.
+    sending 0 to a and the rows are objects of hol.perms.  Sorted.  The
+    search runs through every member sending 0 to 1."""
+    found = regular_subgroups_through(hol, range(len(hol.perms)))
+    return sorted(tuple(map(hol.perms.__getitem__, N)) for N in found)
+
+
+def regular_subgroups_through(hol: Holomorph, members: Container[int]) -> list[ElementSet]:
+    """The regular subgroups of Hol that hold hol.perms[i] for some i in
+    members with hol.perms[i] sending 0 to 1 (for n = 1, the trivial one),
+    each keyed by the hol.perms indices of its Cayley table rows (N[a] sends
+    0 to a), in search order.
 
     Only the identity and the fixed-point-free elements with uniform cycle
     length (the candidates) can sit in a semiregular subgroup T, held as a
@@ -655,52 +659,57 @@ def regular_subgroups(hol: Holomorph) -> list[tuple[Bijection, ...]]:
     n, since the n points fall into n/L cycles.  T is extended by each
     candidate sending 0 to m, the least point outside T's orbit of 0: a
     regular N containing T holds exactly one, so each N is reached along
-    one path.  A semiregular subgroup of order n is regular.
+    one path.  At the root, m = 1 and only the candidates in members are
+    tried.  A semiregular subgroup of order n is regular.
     """
     n = hol.group.n
-    intern = {hol.perms[0]: hol.perms[0]}
+    index = {}  # candidate -> its index in hol.perms
     by_image: list[list[Bijection]] = [[] for _ in range(n)]
-    for perm in hol.perms[1:]:
-        if _uniform_cycle_length(perm) is not None:
-            intern[perm] = perm
-            by_image[perm[0]].append(perm)
-    results: list[tuple[Bijection, ...]] = []
+    for i, perm in enumerate(hol.perms):
+        if i == 0 or _uniform_cycle_length(perm) is not None:
+            index[perm] = i
+            if perm[0] != 1 or i in members:
+                by_image[perm[0]].append(perm)
+    found: list[ElementSet] = []
 
     def extend(T: dict[int, Bijection]) -> None:
         if len(T) == n:
-            results.append(tuple(intern[T[a]] for a in range(n)))  # rows of hol.perms, not copies
+            found.append(tuple(index[T[a]] for a in range(n)))
             return
         m = next(x for x in range(n) if x not in T)
         for g in by_image[m]:
-            U = _semiregular_closure(T, g, intern)
+            U = _semiregular_closure(T, g, index)
             if U is not None:
                 extend(U)
 
     extend({0: hol.perms[0]})
     del extend  # extend refers to itself: free it and the candidates now, not at the next gc
-    return sorted(results)
+    return found
 
 
 def _semiregular_closure(T: dict[int, Bijection], g: Bijection, candidates: dict) -> Optional[dict]:
     """The group generated by the group T and g, keyed by image of 0; None
-    once a product is not in candidates or shares its image of 0 with another
-    member.  Each new member is composed both ways with every member present.
+    once a member is not in candidates or shares its image of 0 with
+    another.  It is the union of right cosets T r, from r = g, each new one
+    joining whole (Dimino's algorithm), with r s a further representative
+    for every s in T and g.
 
-    This stays apart from closure: Hol has no Cayley table for closure to
-    run on, its members are permutations composed here and looked up by
-    their image of 0, and a candidate is rejected at its first bad product
-    rather than after the whole group is built."""
-    U = {**T, g[0]: g}
-    work = [g]
-    for x in work:
-        for y in list(U.values()):
-            for p in (tuple(map(x.__getitem__, y)), tuple(map(y.__getitem__, x))):
-                held = U.get(p[0])
-                if held is None:
-                    if p not in candidates:
-                        return None
-                    U[p[0]] = p
-                    work.append(p)
-                elif held != p:
-                    return None
+    Kept apart from closure: Hol has no Cayley table, its members are
+    permutations keyed by image of 0, and a candidate is rejected at its
+    first bad product."""
+    members = list(T.values())
+    U = dict(T)
+    reps = [g]
+    for r in reps:  # reps grows while it is walked
+        held = U.get(r[0])
+        if held is not None:
+            if held != r:
+                return None
+            continue
+        for t in members:
+            p = tuple(map(t.__getitem__, r))  # t after r
+            if p[0] in U or p not in candidates:
+                return None
+            U[p[0]] = p
+        reps += [tuple(map(r.__getitem__, s)) for s in members + [g]]
     return U

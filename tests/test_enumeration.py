@@ -44,6 +44,7 @@ from bracekit.groups import (
     as_rows,
     automorphism_group,
     cyclic_group,
+    direct_product_group,
     greedy_generators,
     holomorph,
     is_isomorphic,
@@ -54,6 +55,7 @@ from bracekit.groups import (
     trusted_group,
     validate_group,
 )
+from test_groups import _regular_subgroups_all_roots_reference
 
 GROUP_COUNTS = [1, 1, 1, 2, 1, 2, 1, 5]
 BRACE_COUNTS = [1, 1, 1, 4, 1, 6, 1, 47]
@@ -435,6 +437,44 @@ def test_greedy_generators_of_aut_match_reference(A):
     assert group == set(auts)
 
 
+# enumeration._conjugacy_orbits as it was before the walk ran on hol.perms
+# indices: every subgroup hashed as a tuple of n row tuples
+def _conjugacy_orbits_tuple_hash_reference(hol, gens):
+    """(first subgroup, orbit size) for the orbits of the regular subgroups
+    of hol under conjugation by the group gens generates, in the order of
+    the subgroups.  Conjugation by alpha sends row alpha^-1(b) of N to row b
+    of its image; each orbit is collected by a walk from its first subgroup
+    along the generators."""
+    conjugators = [(alpha, np.argsort(alpha).tolist()) for alpha in gens]
+    tables = _regular_subgroups_all_roots_reference(hol)
+    todo = set(tables)
+    orbits = []
+    for first in tables:
+        if first not in todo:
+            continue
+        todo.remove(first)
+        orbit = [first]
+        for N in orbit:  # orbit grows while it is walked
+            for alpha, inv in conjugators:
+                rows = (map(alpha.__getitem__, map(N[i].__getitem__, inv)) for i in inv)
+                image = tuple(map(tuple, rows))
+                if image in todo:
+                    todo.remove(image)
+                    orbit.append(image)
+        orbits.append((first, len(orbit)))
+    return orbits
+
+
+def _assert_orbits_match_reference(A):
+    hol = holomorph(A)
+    gens = greedy_generators(automorphism_group(A), _compose)
+    orbits = _conjugacy_orbits(hol, gens)
+    assert orbits == _conjugacy_orbits_tuple_hash_reference(hol, gens)
+    held = set(map(id, hol.perms))
+    assert all(id(row) in held for first, _ in orbits for row in first)
+    return orbits
+
+
 def _tables(braces_):
     return [(B.add.op, B.mul.op) for B in braces_]
 
@@ -463,7 +503,7 @@ def test_orbit_walk_matches_reference_and_pinned_counts(n):
     for A in groups_of_order(n, cap=12):
         auts = automorphism_group(A)
         hol = holomorph(A)
-        orbits = _conjugacy_orbits(hol, greedy_generators(auts, _compose))
+        orbits = _assert_orbits_match_reference(A)
         subgroups = sum(size for _, size in orbits)
         counts.append((subgroups, len(orbits)))
         assert subgroups == len(regular_subgroups(hol))
@@ -472,6 +512,20 @@ def test_orbit_walk_matches_reference_and_pinned_counts(n):
         # orbit-stabiliser again, with |Aut(B)| from the brace isomorphism search
         assert sum(len(auts) // len(brace_isomorphisms(B, B)) for B in found) == subgroups
     assert counts == ORBIT_COUNTS[n]
+
+
+@pytest.mark.parametrize(
+    "A,subgroups,count",
+    [
+        (cyclic_group(16), 16, 8),
+        (direct_product_group(cyclic_group(8), cyclic_group(2)), 160, 66),
+        (direct_product_group(cyclic_group(4), cyclic_group(4)), 880, 83),
+    ],
+    ids=["Z16", "Z8xZ2", "Z4xZ4"],
+)
+def test_orbit_walk_matches_tuple_hash_reference_at_order_16(A, subgroups, count):
+    orbits = _assert_orbits_match_reference(A)
+    assert (sum(size for _, size in orbits), len(orbits)) == (subgroups, count)
 
 
 @pytest.mark.parametrize("make", [quaternion_group, klein_four_group])
@@ -521,6 +575,18 @@ ORBIT_FAULTS = {
         "    return [(first, s + t)] + orbits[2:]\n"
         "enumeration._conjugacy_orbits = merged",
         "orbit size times |Aut(B)| is not |Aut(A)|",
+    ),
+    # the subgroups below the least root are lost, but the walk from the
+    # other roots reaches some of them
+    "dropped root": (
+        "from bracekit import groups\n"
+        "real = groups._semiregular_closure\n"
+        "def dropped(T, g, candidates):\n"
+        "    if len(T) == 1 and g == min(p for p in candidates if p[0] == 1):\n"
+        "        return None\n"
+        "    return real(T, g, candidates)\n"
+        "groups._semiregular_closure = dropped",
+        "the search through the roots and the orbit walk disagree",
     ),
     # a proper subgroup of Aut(A) passes orbit-stabiliser; only the distinct
     # canonical braces check sees its split orbits

@@ -28,13 +28,13 @@ from bracekit.errors import (
 from bracekit.groups import (
     ElementSet,
     GroupTable,
+    _semiregular_closure,
     _uniform_cycle_length,
     as_rows,
     automorphism_group,
     canonical_form,
     center,
     centralizer,
-    commutator_subgroup,
     conjugacy_class_sizes,
     cyclic_group,
     dihedral_group,
@@ -101,12 +101,19 @@ def test_cyclic_group_orders():
     assert G.is_abelian
 
 
+# moved from groups.py, where nothing called it: the subgroup the commutators generate
+def _commutator_subgroup(G: GroupTable) -> ElementSet:
+    comms = np.zeros(G.n, dtype=bool)
+    comms[G.commutator_table] = True
+    return subgroup_closure(G, np.flatnonzero(comms).tolist())
+
+
 def test_quaternion_structure():
     q8 = quaternion_group()
     assert center(q8) == (0, 1)
     assert sorted(q8.element_orders) == [1, 2, 4, 4, 4, 4, 4, 4]
     assert not q8.is_abelian
-    assert commutator_subgroup(q8) == (0, 1)
+    assert _commutator_subgroup(q8) == (0, 1)
 
 
 # quaternion_group as first written: products by unit name and sign
@@ -160,12 +167,12 @@ def test_commutator_table_and_subgroup_match_the_scalar_formula():
         table = G.commutator_table
         assert table.tobytes() == np.array(scalar, dtype=np.int64).tobytes()
         assert table.shape == (G.n, G.n) and not table.flags.writeable
-        assert commutator_subgroup(G) == subgroup_closure(G, {c for row in scalar for c in row})
+        assert _commutator_subgroup(G) == subgroup_closure(G, {c for row in scalar for c in row})
 
 
 def test_dihedral_structure():
     d3 = dihedral_group(3)
-    assert len(commutator_subgroup(d3)) == 3
+    assert len(_commutator_subgroup(d3)) == 3
     assert sorted(conjugacy_class_sizes(d3)) == [1, 2, 3]
     assert center(d3) == (0,)
 
@@ -705,6 +712,58 @@ def _regular_subgroups_reference(G):
     return sorted(tuple(perms[r] for r in R) for R in results)
 
 
+# groups._semiregular_closure as it was before it added whole cosets
+def _semiregular_closure_reference(T, g, candidates):
+    """The group generated by the group T and g, keyed by image of 0; None
+    once a product is not in candidates or shares its image of 0 with another
+    member.  Each new member is composed both ways with every member present."""
+    U = {**T, g[0]: g}
+    work = [g]
+    for x in work:
+        for y in list(U.values()):
+            for p in (tuple(map(x.__getitem__, y)), tuple(map(y.__getitem__, x))):
+                held = U.get(p[0])
+                if held is None:
+                    if p not in candidates:
+                        return None
+                    U[p[0]] = p
+                    work.append(p)
+                elif held != p:
+                    return None
+    return U
+
+
+# groups.regular_subgroups as it was before its search took the roots as an
+# argument: every candidate sending 0 to 1 extends the identity, through the
+# pairwise closure above unless close says otherwise
+def _regular_subgroups_all_roots_reference(hol, close=_semiregular_closure_reference):
+    """All regular subgroups of hol as Cayley tables whose rows are objects
+    of hol.perms, sorted: a semiregular T, keyed by image of 0, is extended
+    by each candidate sending 0 to m, the least point outside T's orbit of
+    0, so each regular subgroup is reached along one path."""
+    n = hol.group.n
+    intern = {hol.perms[0]: hol.perms[0]}
+    by_image = [[] for _ in range(n)]
+    for perm in hol.perms[1:]:
+        if _uniform_cycle_length(perm) is not None:
+            intern[perm] = perm
+            by_image[perm[0]].append(perm)
+    results = []
+
+    def extend(T):
+        if len(T) == n:
+            results.append(tuple(intern[T[a]] for a in range(n)))
+            return
+        m = next(x for x in range(n) if x not in T)
+        for g in by_image[m]:
+            U = close(T, g, intern)
+            if U is not None:
+                extend(U)
+
+    extend({0: hol.perms[0]})
+    return sorted(results)
+
+
 HOLOMORPH_GROUPS = [
     (n, i)
     for n, count in enumerate([1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5], start=1)
@@ -717,6 +776,7 @@ def _assert_regular_subgroups_match_reference(G):
     found = regular_subgroups(hol)
     assert len(set(found)) == len(found)  # each subgroup is reached once
     assert found == _regular_subgroups_reference(G)
+    assert found == _regular_subgroups_all_roots_reference(hol)
     held = set(map(id, hol.perms))
     for N in found:
         assert [row[0] for row in N] == list(range(G.n))
@@ -728,6 +788,21 @@ def test_regular_subgroups_match_table_reference(n, index):
     _assert_regular_subgroups_match_reference(groups_of_order(n, cap=17)[index])
 
 
+@pytest.mark.parametrize("n,index", HOLOMORPH_GROUPS)
+def test_semiregular_closure_matches_reference_at_every_search_node(n, index):
+    calls = []
+
+    def both(T, g, candidates):
+        U = _semiregular_closure_reference(T, g, candidates)
+        assert _semiregular_closure(T, g, candidates) == U
+        calls.append(U is not None)
+        return U
+
+    G = groups_of_order(n, cap=17)[index]
+    _regular_subgroups_all_roots_reference(holomorph(G), both)
+    assert n == 1 or any(calls)
+
+
 @pytest.mark.parametrize(
     "G",
     [cyclic_group(16), direct_product_group(cyclic_group(8), cyclic_group(2))],
@@ -735,6 +810,16 @@ def test_regular_subgroups_match_table_reference(n, index):
 )
 def test_regular_subgroups_match_table_reference_order_16(G):
     _assert_regular_subgroups_match_reference(G)
+
+
+def test_regular_subgroups_of_z4_z4_match_all_roots_reference():
+    # the table reference takes too long here; the all-roots search does not
+    hol = holomorph(direct_product_group(cyclic_group(4), cyclic_group(4)))
+    found = regular_subgroups(hol)
+    assert len(found) == 880
+    assert found == _regular_subgroups_all_roots_reference(hol)
+    held = set(map(id, hol.perms))
+    assert all(id(row) in held for N in found for row in N)
 
 
 def test_regular_subgroups_memory_stays_small():
@@ -755,8 +840,7 @@ def test_regular_subgroups_memory_stays_small():
 
 def test_regular_subgroups_of_z4_z4_compose_lazily():
     # Hol(Z4 x Z4) has 1536 elements, 645 of them candidates: a table of
-    # candidate products peaked at 4.1 MiB; the table reference agrees on
-    # the 880 subgroups but takes too long for this suite
+    # candidate products peaked at 4.1 MiB
     hol = holomorph(direct_product_group(cyclic_group(4), cyclic_group(4)))
     tracemalloc.start()
     try:

@@ -1,8 +1,12 @@
 """Package layout: modules share helpers through public names only, no
-check in the package is an assert, which python -O strips, and no new
-process-wide dict or lru_cache holds state between calls."""
+check in the package is an assert, which python -O strips, no new
+process-wide dict or lru_cache holds state between calls, and the command
+line never loads numpy.ma."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import bracekit
@@ -99,3 +103,29 @@ def test_no_new_module_level_dicts_or_lru_caches():
                 found.append(f"{path.name}:{node.name}")
     new = sorted(set(found) - MODULE_STATE)
     assert found and not new, new
+
+
+NUMPY_MA_SCRIPT = """
+import contextlib, io, sys
+from bracekit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["enumerate", "10", "--cap", "10"]), main(["verify", "--orders", "1..8"])]
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_enumerate_and_verify_never_import_numpy_ma():
+    """In numpy 2.4 a bare np.unique, np.union1d or np.isin on large inputs
+    imports numpy.ma, which costs a cold process 12-35 ms and 1.3 MiB;
+    enumerate 10 takes 27 ms in all.  So a fresh process runs both commands
+    and numpy.ma must still be unloaded."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] False\n"
