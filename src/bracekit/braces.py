@@ -23,7 +23,6 @@ from .groups import (
     Bijection,
     ElementSet,
     GroupTable,
-    as_rows,
     automorphism_group,
     canonical_form,
     center,
@@ -34,6 +33,7 @@ from .groups import (
     isomorphisms,
     prime_divisors,
     quotient_table,
+    relabel,
     subgroup_closure,
     trusted_group,
     validate_group,
@@ -482,16 +482,11 @@ def canonical_pair(B: SkewBrace) -> tuple[tuple[tuple[int, ...], ...], tuple[tup
     them are applied to the mul table at once, and the row-major least
     result is kept.
     """
-    n = B.n
     add_c, sigma0 = canonical_form(B.add)
-    # sigmas[k] = sigma0 . alpha_k (old -> new), pre[k] its inverse (new -> old)
-    sigmas = np.array(sigma0)[np.array(automorphism_group(B.add))]
-    pre = np.argsort(sigmas, axis=1)
-    # cell (i, j) of relabeling k is sigma_k(pre_k(i) o pre_k(j))
-    old = B.mul.np_op[pre[:, :, None], pre[:, None, :]].reshape(len(sigmas), n * n)
-    new = np.take_along_axis(sigmas, old, axis=1)
-    best = new[np.lexsort(new.T[::-1])[0]]  # the lexicographically least row
-    return add_c.op, as_rows(best.reshape(n, n).tolist())
+    sigmas = np.array(sigma0)[np.array(automorphism_group(B.add))]  # sigma0 . alpha_k
+    tables = relabel(B.mul.np_op, sigmas)
+    flat = tables.reshape(len(sigmas), -1)
+    return add_c.op, tuple(map(tuple, tables[np.lexsort(flat.T[::-1])[0]].tolist()))
 
 
 def canonical_brace(B: SkewBrace) -> SkewBrace:

@@ -23,7 +23,6 @@ from .groups import (
     Bijection,
     GroupTable,
     Holomorph,
-    as_rows,
     automorphism_group,
     canonical_form,
     cyclic_group,
@@ -32,6 +31,7 @@ from .groups import (
     is_isomorphic,
     prime_divisors,
     regular_subgroups_through,
+    relabel,
     trusted_group,
     validate_group,
 )
@@ -280,17 +280,14 @@ def brute_force_oracle(n: int, cap: Optional[int] = None) -> BraceCatalog:
     if n > 8:
         raise OrderCapExceeded(n, 8, "the brute-force oracle's limit")
     groups = groups_of_order(n, cap=cap)
+    sigmas = np.array([(0,) + per for per in itertools.permutations(range(1, n))])
     raw = set()  # |Aut(M)| bijections give the same tables: canonicalise them once
-    for A in groups:
-        a_op, a_neg = A.np_op, A.np_inv
-        for M in groups:
-            m_op = M.np_op
-            for per in itertools.permutations(range(1, n)):
-                f = np.array((0,) + per)
-                finv = np.argsort(f)
-                pulled = finv[m_op[np.ix_(f, f)]]
-                if not distributivity_failures(a_op, a_neg, pulled).any():
-                    raw.add(SkewBrace(n=n, add=A, mul=trusted_group(as_rows(pulled.tolist()))))
+    for M in groups:
+        pulled = relabel(M.np_op, sigmas)
+        for A in groups:
+            for mul in pulled:
+                if not distributivity_failures(A.np_op, A.np_inv, mul).any():
+                    raw.add(SkewBrace(n=n, add=A, mul=trusted_group(mul)))
     braces = {canonical_brace(B) for B in raw}
     return _build_catalog(braces, n, "brute_force", resolve_cap(cap))
 

@@ -33,23 +33,15 @@ Bijection = tuple[int, ...]
 
 @dataclass(frozen=True)
 class GroupTable:
-    """A finite group as a Cayley table with identity 0.  Immutable."""
+    """A finite group as a Cayley table with identity 0.  Immutable; built
+    by trusted_group, with the table and the inverses also as read-only
+    int64 arrays."""
 
     n: int
     op: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...] = field(compare=False)
-
-    @cached_property
-    def np_op(self) -> np.ndarray:
-        arr = np.array(self.op, dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def np_inv(self) -> np.ndarray:
-        arr = np.array(self.inv, dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
+    np_op: np.ndarray = field(compare=False, repr=False)
+    np_inv: np.ndarray = field(compare=False, repr=False)
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -103,17 +95,17 @@ def as_rows(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(v) for v in row) for row in table)
 
 
-def trusted_group(op: tuple[tuple[int, ...], ...]) -> GroupTable:
-    """Build a GroupTable from a table known to be a group (skips the n^3 check).
-
-    Used for tables that are groups by construction, e.g. relabelings of a
-    validated group, where the n^3 associativity scan would only repeat work.
-    """
-    n = len(op)
-    inv = [0] * n
-    for x in range(n):
-        inv[x] = op[x].index(0)
-    return GroupTable(n=n, op=op, inv=tuple(inv))
+def trusted_group(table: Sequence[Sequence[int]] | np.ndarray) -> GroupTable:
+    """The GroupTable of a table known to be a group, unchecked: the one
+    constructor.  validate_group calls it once the rows are permutations,
+    and relabelings of a group come here directly.  An int64 array is kept,
+    not copied, and made read-only.  The inverse of x is the column of the
+    0 in row x."""
+    arr = np.asarray(table, dtype=np.int64)
+    inv = arr.argmin(axis=1)
+    arr.flags.writeable = inv.flags.writeable = False
+    op = tuple(map(tuple, arr.tolist()))
+    return GroupTable(n=len(op), op=op, inv=tuple(inv.tolist()), np_op=arr, np_inv=inv)
 
 
 def validate_group(table: Sequence[Sequence[int]]) -> GroupTable:
@@ -128,14 +120,15 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupTable:
     test before it: an associative table with identity whose rows are
     permutations has inverses.  A table that fails it is searched for the
     first repeat in a column, column-major, then for the first bad triple.
+    The GroupTable is built once the rows are permutations, for the
+    generating sequence, and returned once Light's test passes.
     """
-    op, arr = _square_rows(table)
-    n = len(op)
-    cells = np.array(op, dtype=object) if arr is None else arr  # None: a cell overflows int64
+    cells, arr = _square_cells(table)
+    n = len(cells)
     out = (cells < 0) | (cells >= n)
     if out.any():
         i, j = map(int, np.argwhere(out)[0])
-        raise NotLatinSquare(i, j, op[i][j])
+        raise NotLatinSquare(i, j, int(cells[i, j]))
     ids = np.arange(n)
     off_row, off_col = np.flatnonzero(arr[0] != ids), np.flatnonzero(arr[:, 0] != ids)
     if len(off_row):
@@ -145,21 +138,17 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupTable:
     repeat = _first_repeat(arr)
     if repeat is not None:
         i, j = repeat
-        raise NotLatinSquare(i, j, op[i][j])
-    gens = generators(op)
-    C = arr[:, list(gens)]  # C[y, k] = y s_k
+        raise NotLatinSquare(i, j, int(arr[i, j]))
+    G = trusted_group(arr)
+    C = arr[:, list(G.generators)]  # C[y, k] = y s_k
     if not (C[arr] == np.take(arr, C, axis=1)).all():
         repeat = _first_repeat(arr.T)
         if repeat is not None:
             j, i = repeat
-            raise NotLatinSquare(i, j, op[i][j])
+            raise NotLatinSquare(i, j, int(arr[i, j]))
         bad = np.argwhere(arr[arr] != arr[:, arr])  # (xy)z != x(yz) at [x, y, z]
         require(len(bad) > 0, "Light's test and the associativity scan disagree")
         raise NotAssociative(*map(int, bad[0]))
-    inv = arr.argmin(axis=1)  # each row is a permutation: the column of its 0
-    G = GroupTable(n=n, op=op, inv=tuple(inv.tolist()))
-    arr.flags.writeable = inv.flags.writeable = False
-    G.__dict__.update(np_op=arr, np_inv=inv, generators=gens)  # the cached properties, already at hand
     return G
 
 
@@ -178,13 +167,12 @@ def _first_repeat(arr: np.ndarray) -> Optional[tuple[int, int]]:
     return i, int(np.argmin(first))
 
 
-def _square_rows(
-    table: Sequence[Sequence[int]],
-) -> tuple[tuple[tuple[int, ...], ...], Optional[np.ndarray]]:
-    """The table as rows of ints and as an int64 array, None where some entry
-    does not fit; raises for an empty or a non-square table, at a table or
-    row that is not iterable (as cell (0, 0) or (i, 0) of that value), or at
-    the first cell, in row-major order, that is not an integer.
+def _square_cells(table: Sequence[Sequence[int]]) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The cells as an array and as an int64 array: the same one, or None
+    where some cell does not fit and the cells are Python ints.  Raises for
+    an empty or a non-square table, at a table or row that is not iterable
+    (as cell (0, 0) or (i, 0) of that value), or at the first cell, in
+    row-major order, that is not an integer.
 
     A table numpy reads as a square integer array is converted once, by
     numpy.  Anything else (huge ints, ragged rows, non-integer cells) is
@@ -197,7 +185,7 @@ def _square_rows(
         arr = None
     if arr is not None and arr.dtype.kind == "i" and arr.ndim == 2 and len(arr) == arr.shape[1] > 0:
         arr = arr.astype(np.int64, copy=False)
-        return tuple(map(tuple, arr.tolist())), arr
+        return arr, arr
     rows = enumerate(_cells(0, table))
     op = tuple(tuple(_int_cell(i, j, v) for j, v in enumerate(_cells(i, row))) for i, row in rows)
     n = len(op)
@@ -207,9 +195,10 @@ def _square_rows(
         if len(row) != n:
             raise NotLatinSquare(i, len(row), -1)
     try:
-        return op, np.array(op, dtype=np.int64)
+        arr = np.array(op, dtype=np.int64)
     except OverflowError:
-        return op, None
+        return np.array(op, dtype=object), None
+    return arr, arr
 
 
 def _cells(i: int, v: object) -> Iterable:
@@ -454,11 +443,13 @@ def automorphism_group(G: GroupTable) -> tuple[Bijection, ...]:
     return tuple(isomorphisms(G, G))
 
 
-def relabel(G_op: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
-    """Relabel a Cayley table by a bijection sigma (old index -> new index)."""
+def relabel(G_op: np.ndarray, sigma: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Relabel a Cayley table by a bijection sigma (old index -> new index):
+    cell (i, j) becomes sigma(op[p(i)][p(j)]), for p the inverse of sigma.
+    A k x n stack of bijections gives the k x n x n stack of tables."""
     s = np.asarray(sigma)
-    p = np.argsort(s)  # preimages: p[new] = old
-    return s[G_op[np.ix_(p, p)]]
+    p = np.argsort(s, axis=-1)  # preimages: p[new] = old
+    return np.take_along_axis(s[..., None, :], G_op[p[..., :, None], p[..., None, :]], axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -536,7 +527,7 @@ def canonical_form(G: GroupTable) -> tuple[GroupTable, Bijection]:
     require(leaves * len(auts) == walks, "leaves times |Aut(G)| is not the coset-walk count")
     sigmas = np.array(best_sigma)[auts]  # sigma o alpha for every alpha
     witness = tuple(sigmas[np.lexsort(sigmas.T[::-1])[0]].tolist())
-    return trusted_group(as_rows(relabel(G.np_op, witness).tolist())), witness
+    return trusted_group(relabel(G.np_op, witness)), witness
 
 
 def group_commuting_probability(G: GroupTable) -> Fraction:

@@ -460,14 +460,16 @@ def test_canonical_pair_relabeling_invariant_order_8(tail):
 
 
 def _canonical_pair_reference(B):
-    """The per-automorphism loop canonical_pair replaced."""
+    """The per-automorphism loop canonical_pair replaced, with its own
+    relabelling: cell (i, j) is sigma(mul[p(i)][p(j)]), p = sigma^-1."""
     add_c, sigma0 = canonical_form(B.add)
     mul8 = B.mul.np_op.astype(np.uint8)
     s0 = np.array(sigma0, dtype=np.uint8)
     best = None
     for alpha in automorphism_group(add_c):
         sigma = np.array(alpha, dtype=np.uint8)[s0]
-        m = relabel(mul8, sigma).tobytes()
+        p = np.argsort(sigma)
+        m = sigma[mul8[np.ix_(p, p)]].tobytes()
         if best is None or m < best:
             best = m
     return add_c.op, as_rows(np.frombuffer(best, dtype=np.uint8).reshape(B.n, B.n).tolist())

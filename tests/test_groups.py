@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracekit
-from bracekit.braces import validate_skew_brace
-from bracekit.enumeration import groups_of_order
+from bracekit.braces import canonical_brace, validate_skew_brace
+from bracekit.enumeration import brute_force_oracle, groups_of_order, skew_braces_of_order
 from bracekit.errors import (
     IdentityNotZero,
     IndexOutOfRange,
@@ -539,6 +539,35 @@ def test_canonical_form_order_16():
     assert min(map(tuple, sigmas.tolist())) == witness
 
 
+def _relabel_cells(op, sigma):
+    """Cell (i, j) is sigma(op[p(i)][p(j)]), p the inverse of sigma, one
+    cell at a time."""
+    p = [0] * len(sigma)
+    for old, new in enumerate(sigma):
+        p[new] = old
+    return [[sigma[op[p[i]][p[j]]] for j in range(len(op))] for i in range(len(op))]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stacked_relabel_matches_the_cell_formula(n):
+    """relabel on a stack of bijections, and on each alone, against the cell
+    formula: sigma0 o Aut(H) for a relabelled copy H of each group of order
+    n (the stack canonical_pair takes), and seeded stacks of bijections that
+    need not fix 0."""
+    rng = np.random.default_rng(n)
+    for G in groups_of_order(n):
+        H = validate_group(_relabel_cells(G.op, [0] + list(range(n - 1, 0, -1))))
+        sigma0 = canonical_form(H)[1]
+        stacks = [np.array(sigma0)[np.array(automorphism_group(H))]]
+        stacks += [np.array([rng.permutation(n) for _ in range(k)]) for k in (1, 7)]
+        for sigmas in stacks:
+            tables = relabel(H.np_op, sigmas)
+            assert tables.shape == (len(sigmas), n, n)
+            for sigma, table in zip(sigmas.tolist(), tables.tolist()):
+                assert table == _relabel_cells(H.op, sigma)
+                assert relabel(H.np_op, sigma).tolist() == table
+
+
 CANONICAL_FAULT_SCRIPT = """
 import sys
 from bracekit import groups
@@ -897,7 +926,7 @@ def test_generators_match_reference(G):
     expected = tuple(_generating_sequence(G))
     assert generators(G.op) == expected
     assert G.generators == expected
-    assert validate_group(G.op).generators == expected  # handed over, not recomputed
+    assert validate_group(G.op).generators == expected  # the sequence Light's test ran over
 
 
 @given(st.data())
@@ -909,15 +938,43 @@ def test_generators_match_reference_on_relabelled_tables(data):
     assert H.generators == generators(H.op) == tuple(_generating_sequence(H))
 
 
+def _assert_scanned_inverses(G):
+    """The GroupTable's arrays against the rows: np_op is the table and
+    np_inv the column of the 0 in each row, both read-only int64."""
+    scanned = tuple(row.index(0) for row in G.op)
+    assert G.inv == scanned and G.np_inv.tolist() == list(scanned)
+    assert (G.np_op == np.array(G.op)).all() and G.np_op.shape == (G.n, G.n)
+    for arr in (G.np_op, G.np_inv):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+
+
 def test_validate_group_hands_over_the_scanned_inverses():
     tables = [G.op for n in range(1, 13) for G in groups_of_order(n, cap=12)]
     tables += [cyclic_group(n).op for n in range(13, 65)]
     for op in tables:
-        scanned = tuple(row.index(0) for row in op)
-        G = validate_group(op)
-        assert G.inv == trusted_group(op).inv == scanned
-        assert G.np_inv.dtype == np.int64 and not G.np_inv.flags.writeable
-        assert G.np_inv.tolist() == list(scanned)
+        G, T = validate_group(op), trusted_group(op)
+        _assert_scanned_inverses(G)
+        _assert_scanned_inverses(T)
+        assert G.inv == T.inv
+        # equal and equal-hashing, so a table from either constructor hits both lru_caches
+        assert G == T and hash(G) == hash(T)
+        if G.n <= 12:  # the coset walk of Z64 has 62 * 60 * ... * 2 / 32 leaves
+            assert automorphism_group(G) is automorphism_group(T)
+            assert canonical_form(G) is canonical_form(T)
+    # the tables canonical_form, canonical_brace and brute_force_oracle build
+    # from relabelled int64 arrays, on orders up to 8 (the oracle up to 6)
+    built = []
+    for n in range(1, 9):
+        sigma = [0] + list(range(n - 1, 0, -1))
+        built += [canonical_form(validate_group(relabel(G.np_op, sigma)))[0] for G in groups_of_order(n)]
+        for B in skew_braces_of_order(n).braces:
+            add, mul = relabel(B.add.np_op, sigma), relabel(B.mul.np_op, sigma)
+            C = canonical_brace(validate_skew_brace(add, mul))
+            built += [C.add, C.mul]
+        if n <= 6:
+            built += [T for B in brute_force_oracle(n).braces for T in (B.add, B.mul)]
+    for G in built:
+        _assert_scanned_inverses(G)
 
 
 def test_direct_product_group_shape():

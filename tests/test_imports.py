@@ -1,7 +1,7 @@
 """Package layout: modules share helpers through public names only, no
 check in the package is an assert, which python -O strips, no new
-process-wide dict or lru_cache holds state between calls, and the command
-line never loads numpy.ma."""
+process-wide dict or lru_cache holds state between calls, the command
+line never loads numpy.ma, and one function builds every GroupTable."""
 
 import ast
 import os
@@ -129,3 +129,37 @@ def test_enumerate_and_verify_never_import_numpy_ma():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[0, 0] False\n"
+
+
+ARRAY_FIELDS = {"np_op", "np_inv"}
+
+
+def test_one_group_table_constructor():
+    """groups.trusted_group is the one place a GroupTable is built, and no
+    module writes its arrays through __dict__ (or setattr) after the fact."""
+    built, written = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        inside = {
+            id(node)
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and (path.name, f.name) == ("groups.py", "trusted_group")
+            for node in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Call) and _name(node) == "GroupTable" and id(node) not in inside:
+                built.append(where)
+            if not isinstance(node, (ast.Assign, ast.AugAssign, ast.Expr)):
+                continue
+            parts = list(ast.walk(node))
+            touches_dict = any(
+                isinstance(n, ast.Attribute) and n.attr == "__dict__"
+                or isinstance(n, ast.Call) and _name(n) in ("setattr", "__setattr__")
+                for n in parts
+            )
+            names = {n.value for n in parts if isinstance(n, ast.Constant)}
+            names |= {k.arg for n in parts if isinstance(n, ast.Call) for k in n.keywords}
+            if touches_dict and names & ARRAY_FIELDS:
+                written.append(where)
+    assert built == [] and written == [], (built, written)
