@@ -474,24 +474,27 @@ def is_brace_isomorphic(A: SkewBrace, B: SkewBrace) -> bool:
 
 
 def canonical_pair(B: SkewBrace) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Lexicographically minimal (add, mul) table pair over relabelings fixing 0.
+    """Lexicographically minimal (add, mul) table pair over relabelings
+    fixing 0: the tables of canonical_brace(B)."""
+    C = canonical_brace(B)
+    return C.add.op, C.mul.op
+
+
+def canonical_brace(B: SkewBrace) -> SkewBrace:
+    """The relabeling of B fixing 0 with the lexicographically minimal
+    (add, mul) table pair.
 
     The minimizers of the add component are exactly sigma0 o alpha, for the
     witness sigma0 of the additive canonical form and every alpha in
     Aut(B.add), so only those need scanning for the mul component: all of
     them are applied to the mul table at once, and the row-major least
-    result is kept.
+    result is kept, copied out of the stack of tables.
     """
     add_c, sigma0 = canonical_form(B.add)
     sigmas = np.array(sigma0)[np.array(automorphism_group(B.add))]  # sigma0 . alpha_k
     tables = relabel(B.mul.np_op, sigmas)
-    flat = tables.reshape(len(sigmas), -1)
-    return add_c.op, tuple(map(tuple, tables[np.lexsort(flat.T[::-1])[0]].tolist()))
-
-
-def canonical_brace(B: SkewBrace) -> SkewBrace:
-    _, mul_rows = canonical_pair(B)
-    return SkewBrace(n=B.n, add=canonical_form(B.add)[0], mul=trusted_group(mul_rows))
+    least = tables[np.lexsort(tables.reshape(len(sigmas), -1).T[::-1])[0]]
+    return SkewBrace(n=B.n, add=add_c, mul=trusted_group(least.copy()))
 
 
 def sub_braces(B: SkewBrace) -> list[ElementSet]:

@@ -14,7 +14,7 @@ from .enumeration import (
     resolve_cap,
     skew_braces_of_order,
 )
-from .errors import BraceKitError, InvariantViolation, ParseError
+from .errors import BraceKitError, InvariantViolation, OrderCapExceeded, ParseError
 from .isoclinism import are_isoclinic
 from .report import brace_report
 from .verify import run_theorems, select_theorems
@@ -111,12 +111,15 @@ def cmd_isoclinic(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    lo, hi = _parse_orders(args.orders or f"1..{resolve_cap()}")
+    cap = resolve_cap(args.cap)
+    lo, hi = _parse_orders(args.orders or f"1..{cap}")
     names = [t.strip() for t in args.theorems.split(",") if t.strip()] if args.theorems else []
     select_theorems(names)  # fail on a bad name before building any catalog
+    if hi > cap:  # and on an order past the cap
+        raise OrderCapExceeded(max(lo, cap + 1), cap)
     entries = []
     for n in range(lo, hi + 1):
-        catalog = skew_braces_of_order(n, method=args.method, cap=args.cap)
+        catalog = skew_braces_of_order(n, method=args.method, cap=cap)
         entries.extend((e.id, e.brace) for e in catalog.entries)
     verdicts = run_theorems(entries, f"orders {lo}..{hi}", names)
     _emit([v.to_json_dict() for v in verdicts])

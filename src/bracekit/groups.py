@@ -91,10 +91,6 @@ class GroupTable:
         return tuple(orders)
 
 
-def as_rows(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(v) for v in row) for row in table)
-
-
 def trusted_group(table: Sequence[Sequence[int]] | np.ndarray) -> GroupTable:
     """The GroupTable of a table known to be a group, unchecked: the one
     constructor.  validate_group calls it once the rows are permutations,
@@ -545,15 +541,9 @@ def cyclic_group(n: int) -> GroupTable:
 
 def direct_product_group(G: GroupTable, H: GroupTable) -> GroupTable:
     """Direct product with pair (i, j) encoded as i + G.n * j."""
-    n1, n2 = G.n, H.n
-    table = [
-        [
-            G.op[i1][j1] + n1 * H.op[i2][j2]
-            for j1, j2 in ((j % n1, j // n1) for j in range(n1 * n2))
-        ]
-        for i1, i2 in ((i % n1, i // n1) for i in range(n1 * n2))
-    ]
-    return validate_group(table)
+    pairs = np.arange(G.n * H.n)
+    i, j = pairs % G.n, pairs // G.n
+    return validate_group(G.np_op[i[:, None], i] + G.n * H.np_op[j[:, None], j])
 
 
 def klein_four_group() -> GroupTable:
@@ -601,10 +591,10 @@ class Holomorph:
 
 
 def holomorph(G: GroupTable) -> Holomorph:
-    n = G.n
-    auts = automorphism_group(G)
-    perms = sorted({tuple(G.op[a][phi[x]] for x in range(n)) for a in range(n) for phi in auts})
-    return Holomorph(group=G, perms=tuple(perms))
+    """Row (a, phi) of the gather is x -> a phi(x).  It sends 0 to a, so it
+    determines a and then phi: the n |Aut(G)| rows are distinct."""
+    rows = G.np_op[:, np.array(automorphism_group(G))].reshape(-1, G.n)
+    return Holomorph(group=G, perms=tuple(map(tuple, rows[np.lexsort(rows.T[::-1])].tolist())))
 
 
 def _uniform_cycle_length(perm: Sequence[int]) -> Optional[int]:

@@ -18,19 +18,21 @@ from .braces import (
     validate_skew_brace,
 )
 from .errors import NotASubBrace, require
-from .groups import Bijection, ElementSet, as_rows
+from .groups import Bijection, ElementSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsoclinismData:
     """Quotient by the annihilator, the first derived ideal as a brace, and
-    the two commutator maps over quotient pairs."""
+    the two commutator maps over quotient pairs, as read-only int64 arrays:
+    phi_plus[x, y] is the index in gamma2_members of [a, b]_+ for a in coset
+    x and b in coset y, and phi_star likewise of a * b."""
 
     quotient: SkewBrace
     gamma2: SkewBrace
     gamma2_members: ElementSet
-    phi_plus: tuple[tuple[int, ...], ...]
-    phi_star: tuple[tuple[int, ...], ...]
+    phi_plus: np.ndarray
+    phi_star: np.ndarray
 
 
 def gamma2(B: SkewBrace) -> ElementSet:
@@ -79,13 +81,8 @@ def isoclinism_data(B: SkewBrace) -> IsoclinismData:
         (phi_plus[pairs] == plus).all() and (phi_star[pairs] == star).all(),
         "commutator maps depend on the coset representatives",
     )
-    return IsoclinismData(
-        quotient=quotient,
-        gamma2=g2_brace,
-        gamma2_members=g2,
-        phi_plus=as_rows(phi_plus.tolist()),
-        phi_star=as_rows(phi_star.tolist()),
-    )
+    phi_plus.flags.writeable = phi_star.flags.writeable = False
+    return IsoclinismData(quotient, g2_brace, g2, phi_plus, phi_star)
 
 
 @dataclass(frozen=True)

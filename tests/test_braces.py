@@ -40,7 +40,6 @@ from bracekit.braces import (
 from bracekit.enumeration import groups_of_order, skew_braces_of_order
 from bracekit.errors import BadCyclicParameter, DistributivityFails, IndexOutOfRange, ParseError
 from bracekit.groups import (
-    as_rows,
     automorphism_group,
     canonical_form,
     centralizer,
@@ -62,6 +61,7 @@ from bracekit.isoclinism import gamma2, induced_brace, isoclinism_data
 from bracekit.probability import centralizer_suite
 from bracekit.report import brace_report
 from bracekit.verify import check_ann_gamma
+from test_groups import as_rows
 
 BRACES = [e.brace for n in range(1, 9) for e in skew_braces_of_order(n).entries]
 
@@ -498,6 +498,15 @@ def test_canonical_brace_shares_the_additive_canonical_form():
     # the 47 braces of order 8 hold one additive table per group of order 8
     adds = [canonical_brace(B).add for B in BRACES if B.n == 8]
     assert len(adds) == 47 and len({id(A) for A in adds}) == 5
+
+
+def test_canonical_brace_copies_its_table_out_of_the_stack():
+    # a view would keep the |Aut(A)| x n x n stack of relabelled tables alive
+    # with the brace: 20,160 x 16 x 16 int64 cells over Z2^4
+    over_z2_cubed = [B for B in BRACES if B.n == 8 and max(B.add.element_orders) == 2]
+    assert len(over_z2_cubed) == 8
+    for B in over_z2_cubed:
+        assert canonical_brace(B).mul.np_op.base is None
 
 
 def test_structure_flags_of_known_braces():

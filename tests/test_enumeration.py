@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracekit
-from bracekit import braces, enumeration
+from bracekit import enumeration
 from bracekit.cli import main
 from bracekit.braces import (
     SkewBrace,
@@ -41,7 +41,6 @@ from bracekit.enumeration import (
 )
 from bracekit.errors import OrderCapExceeded, ParseError
 from bracekit.groups import (
-    as_rows,
     automorphism_group,
     cyclic_group,
     direct_product_group,
@@ -55,7 +54,7 @@ from bracekit.groups import (
     trusted_group,
     validate_group,
 )
-from test_groups import _regular_subgroups_all_roots_reference
+from test_groups import _regular_subgroups_all_roots_reference, as_rows
 
 GROUP_COUNTS = [1, 1, 1, 2, 1, 2, 1, 5]
 BRACE_COUNTS = [1, 1, 1, 4, 1, 6, 1, 47]
@@ -546,14 +545,14 @@ def test_orbit_walk_matches_reference_on_relabelled_order_8(index, data):
 
 def test_one_canonicalisation_per_brace_on_orders_1_to_8(monkeypatch, capsys):
     calls = []
-    real = braces.canonical_pair
+    real = enumeration.canonical_brace
 
     def counting(B):
         calls.append(B.n)
         return real(B)
 
     monkeypatch.setattr(enumeration, "_CATALOG_CACHE", {})
-    monkeypatch.setattr(braces, "canonical_pair", counting)
+    monkeypatch.setattr(enumeration, "canonical_brace", counting)
     assert main(["verify", "--orders", "1..8"]) == 0
     assert len(calls) == sum(BRACE_COUNTS) == 62
 

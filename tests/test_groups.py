@@ -30,7 +30,6 @@ from bracekit.groups import (
     GroupTable,
     _semiregular_closure,
     _uniform_cycle_length,
-    as_rows,
     automorphism_group,
     canonical_form,
     center,
@@ -57,6 +56,11 @@ from bracekit.groups import (
     trusted_group,
     validate_group,
 )
+
+
+def as_rows(table: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(v) for v in row) for row in table)
+
 
 # a Latin square with identity 0 that is not a group
 NONASSOC = (
@@ -981,6 +985,45 @@ def test_direct_product_group_shape():
     G = direct_product_group(cyclic_group(2), cyclic_group(3))
     assert G.n == 6
     assert is_isomorphic(G, cyclic_group(6))
+
+
+def _direct_product_reference(G, H):
+    """The Python loop direct_product_group ran before its gather."""
+    n1, n2 = G.n, H.n
+    table = [
+        [
+            G.op[i1][j1] + n1 * H.op[i2][j2]
+            for j1, j2 in ((j % n1, j // n1) for j in range(n1 * n2))
+        ]
+        for i1, i2 in ((i % n1, i // n1) for i in range(n1 * n2))
+    ]
+    return validate_group(table)
+
+
+def _holomorph_reference(G):
+    """The set comprehension holomorph ran before its gather and lexsort."""
+    n = G.n
+    auts = automorphism_group(G)
+    return sorted({tuple(G.op[a][phi[x]] for x in range(n)) for a in range(n) for phi in auts})
+
+
+GROUPS_TO_12 = [G for n in range(1, 13) for G in groups_of_order(n, cap=12)]
+
+
+def test_direct_product_matches_reference():
+    pairs = [(G, H) for G in GROUPS_TO_12 for H in GROUPS_TO_12 if G.n * H.n <= 16]
+    assert len(pairs) == 83
+    for G, H in pairs:
+        P = direct_product_group(G, H)
+        assert P.op == _direct_product_reference(G, H).op
+        _assert_scanned_inverses(P)
+
+
+def test_holomorph_matches_reference():
+    for G in GROUPS_TO_12 + [direct_product_group(cyclic_group(4), cyclic_group(4))]:
+        perms = holomorph(G).perms
+        assert list(perms) == _holomorph_reference(G)
+        assert all(type(x) is int for x in perms[-1])
 
 
 def _validate_group_reference(table):

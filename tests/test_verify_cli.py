@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracekit
-from bracekit import braces, verify
+from bracekit import braces, cli, verify
 from bracekit.braces import annihilator, classify_subset, cyclic_brace, series, sub_braces
 from bracekit.cli import main
 from bracekit.enumeration import skew_braces_of_order
@@ -293,6 +293,44 @@ def test_cli_brute_method_names_the_limit_it_exceeds(argv, message, capsys, monk
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_verify_default_range_follows_the_cap_option(capsys, monkeypatch):
+    monkeypatch.delenv("BRACEKIT_CAP", raising=False)
+    assert main(["verify", "--cap", "9", "--theorems", "gap-5/8"]) == 0
+    by_option = capsys.readouterr().out
+    monkeypatch.setenv("BRACEKIT_CAP", "9")
+    assert main(["verify", "--theorems", "gap-5/8"]) == 0
+    assert capsys.readouterr().out == by_option
+    (verdict,) = json.loads(by_option)
+    assert (verdict["scope"], verdict["checked"]) == ("orders 1..9", 66)
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["--orders", "1..20", "--cap", "16"], None, "order 17 exceeds the configured cap 16"),
+        (["--orders", "12..20"], None, "order 12 exceeds the configured cap 8"),
+        (["--orders", "5..11"], "10", "order 11 exceeds the configured cap 10"),
+        (["--orders", "1..9", "--method", "brute"], None, "order 9 exceeds the configured cap 8"),
+    ],
+)
+def test_verify_rejects_an_out_of_cap_range_before_building_a_catalog(
+    argv, env, message, capsys, monkeypatch
+):
+    calls = []
+
+    def building(n, **kwargs):
+        calls.append(n)
+        raise RuntimeError(f"catalog of order {n} built")
+
+    monkeypatch.setattr(cli, "skew_braces_of_order", building)
+    monkeypatch.delenv("BRACEKIT_CAP", raising=False)
+    if env is not None:
+        monkeypatch.setenv("BRACEKIT_CAP", env)
+    assert main(["verify"] + argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
 
 
 # -- malformed input ---------------------------------------------------------
