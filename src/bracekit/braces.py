@@ -25,7 +25,6 @@ from .groups import (
     GroupTable,
     automorphism_group,
     canonical_form,
-    center,
     closure,
     direct_product_group,
     is_conjugation_closed,
@@ -79,12 +78,14 @@ class SkewBrace:
 
     @cached_property
     def ker_soc_ann(self) -> tuple[ElementSet, ElementSet, ElementSet]:
-        """(Ker(lambda), Soc(B), Ann(B)); Ann is verified to be an ideal."""
-        ker = ker_lambda(self)
-        zadd = set(center(self.add))
-        soc = tuple(a for a in ker if a in zadd)
-        zmul = set(center(self.mul))
-        ann = tuple(a for a in soc if a in zmul)
+        """(Ker(lambda), Soc(B), Ann(B)), from the rows a with a + b = a o b,
+        then also a + b = b + a, then also a o b = b o a, for all b; Ann is
+        verified to be an ideal."""
+        add, mul = self.add.np_op, self.mul.np_op
+        ker = (add == mul).all(1)
+        soc = ker & (add == add.T).all(1)
+        ann = soc & (mul == mul.T).all(1)
+        ker, soc, ann = (tuple(np.flatnonzero(m).tolist()) for m in (ker, soc, ann))
         require(classify_subset(self, ann).is_ideal, "Ann(B) is not an ideal")
         return ker, soc, ann
 
@@ -211,17 +212,17 @@ def _assert_lambda_laws(B: SkewBrace) -> None:
 
 def star(B: SkewBrace, a: int, b: int) -> int:
     """a * b = lam_a(b) - b."""
-    check_indices(B.n, a, b)
+    a, b = check_indices(B.n, a, b)
     return int(B.star_table[a, b])
 
 
 def gamma_plus(B: SkewBrace, a: int, b: int) -> int:
-    check_indices(B.n, a, b)
+    a, b = check_indices(B.n, a, b)
     return int(B.gamma_plus_table[a, b])
 
 
 def gamma_circ(B: SkewBrace, a: int, b: int) -> int:
-    check_indices(B.n, a, b)
+    a, b = check_indices(B.n, a, b)
     return int(B.gamma_circ_table[a, b])
 
 
@@ -309,8 +310,7 @@ def structure_flags(B: SkewBrace) -> StructureFlags:
 
 def ker_lambda(B: SkewBrace) -> ElementSet:
     """{a : a + b = a o b for all b}."""
-    eq = (B.add.np_op == B.mul.np_op).all(axis=1)
-    return tuple(int(a) for a in np.flatnonzero(eq))
+    return socle_and_annihilator(B)[0]
 
 
 def socle_and_annihilator(B: SkewBrace) -> tuple[ElementSet, ElementSet, ElementSet]:
@@ -330,11 +330,9 @@ class SubsetClass:
 
 
 def classify_subset(B: SkewBrace, S: Iterable[int]) -> SubsetClass:
-    members = set(S)
-    if not members:
-        return SubsetClass(False, False, False)
+    members = set(check_indices(B.n, *S))
     sub = is_subgroup(B.add, members) and is_subgroup(B.mul, members)
-    left_ideal = sub and members.issuperset(B.lambdas[:, sorted(members)].ravel().tolist())
+    left_ideal = sub and members.issuperset(B.lambdas[:, list(members)].ravel().tolist())
     ideal = (
         left_ideal
         and is_conjugation_closed(B.add, members)
@@ -368,9 +366,9 @@ def quotient_tables(B: SkewBrace, I: Iterable[int]) -> tuple[np.ndarray, np.ndar
     """The additive and multiplicative tables of B/I, not yet validated, and
     the coset map; raises NotAnIdeal unless I is an ideal, and checks that
     the two groups have the same cosets."""
-    members = set(I)
+    members = sorted(set(check_indices(B.n, *I)))
     if not classify_subset(B, members).is_ideal:
-        raise NotAnIdeal(f"{sorted(members)} is not an ideal")
+        raise NotAnIdeal(f"{members} is not an ideal")
     add_q, cmap = quotient_table(B.add, members)
     mul_q, mul_cmap = quotient_table(B.mul, members)
     require(cmap == mul_cmap, "additive and multiplicative cosets differ")

@@ -93,10 +93,12 @@ def require(cond: bool, msg: str) -> None:
         raise InvariantViolation(msg)
 
 
-def check_indices(n: int, *xs: int) -> None:
-    """Raise IndexOutOfRange for the first x that is not an element 0..n-1:
-    an integer in range, as operator.index reads it, so Python and numpy
-    ints and bools pass and floats and strings do not."""
+def check_indices(n: int, *xs: int) -> tuple[int, ...]:
+    """The xs as Python ints, each an element 0..n-1: an integer in range,
+    as operator.index reads it, so Python ints and bools and numpy ints
+    pass and floats and strings do not.  Raises IndexOutOfRange, holding
+    the x as given, for the first x that is not."""
+    out = []
     for x in xs:
         try:
             i = operator.index(x)
@@ -104,3 +106,5 @@ def check_indices(n: int, *xs: int) -> None:
             raise IndexOutOfRange(x, n) from None
         if not 0 <= i < n:
             raise IndexOutOfRange(x, n)
+        out.append(i)
+    return tuple(out)

@@ -39,7 +39,6 @@ class GroupTable:
 
     n: int
     op: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...] = field(compare=False)
     np_op: np.ndarray = field(compare=False, repr=False)
     np_inv: np.ndarray = field(compare=False, repr=False)
 
@@ -101,7 +100,7 @@ def trusted_group(table: Sequence[Sequence[int]] | np.ndarray) -> GroupTable:
     inv = arr.argmin(axis=1)
     arr.flags.writeable = inv.flags.writeable = False
     op = tuple(map(tuple, arr.tolist()))
-    return GroupTable(n=len(op), op=op, inv=tuple(inv.tolist()), np_op=arr, np_inv=inv)
+    return GroupTable(n=len(op), op=op, np_op=arr, np_inv=inv)
 
 
 def validate_group(table: Sequence[Sequence[int]]) -> GroupTable:
@@ -229,8 +228,8 @@ def prime_divisors(n: int) -> list[int]:
 
 def centralizer(G: GroupTable, x: int) -> ElementSet:
     """Elements commuting with x."""
-    check_indices(G.n, x)
-    return tuple(y for y in range(G.n) if G.op[x][y] == G.op[y][x])
+    (x,) = check_indices(G.n, x)
+    return tuple(np.flatnonzero(G.np_op[x] == G.np_op[:, x]).tolist())
 
 
 def center(G: GroupTable) -> ElementSet:
@@ -254,11 +253,9 @@ def closure(
     members are combined with it in turn.
     """
     n = len((tables or actions)[0])
-    S = tuple(S)
-    check_indices(n, *S)
     members = {0}
     work = []
-    for s in S:
+    for s in check_indices(n, *S):
         if s not in members:
             members.add(s)
             work.append(s)
@@ -283,8 +280,7 @@ def subgroup_closure(G: GroupTable, S: Iterable[int]) -> ElementSet:
 def is_subgroup(G: GroupTable, H: Iterable[int]) -> bool:
     """Whether H contains 0 and is closed under products (so, being finite,
     under inverses too)."""
-    members = set(H)
-    check_indices(G.n, *members)
+    members = set(check_indices(G.n, *H))
     return 0 in members and all(
         members.issuperset(map(G.op[a].__getitem__, members)) for a in members
     )
@@ -292,13 +288,12 @@ def is_subgroup(G: GroupTable, H: Iterable[int]) -> bool:
 
 def is_conjugation_closed(G: GroupTable, H: Iterable[int]) -> bool:
     """Whether g h g^-1 lies in H for every g in G and h in H."""
-    members = set(H)
-    check_indices(G.n, *members)
+    members = set(check_indices(G.n, *H))
     return all(members.issuperset(G.conjugates[h]) for h in members)
 
 
 def is_normal(G: GroupTable, H: Iterable[int]) -> bool:
-    members = set(H)
+    members = check_indices(G.n, *H)
     return is_subgroup(G, members) and is_conjugation_closed(G, members)
 
 
@@ -327,11 +322,11 @@ def quotient_table(G: GroupTable, H: Iterable[int]) -> tuple[np.ndarray, tuple[i
     Cosets are labelled by rank of their minimal representative, so the coset
     of 0 becomes the identity.
     """
-    members = set(H)
+    members = sorted(set(check_indices(G.n, *H)))
     if not is_normal(G, members):
-        raise NotNormal(f"subgroup {sorted(members)} is not normal")
+        raise NotNormal(f"subgroup {members} is not normal")
     # row x of np_op[:, H] is the coset xH, and x represents it if x is its least element
-    mins = G.np_op[:, sorted(members)].min(axis=1)
+    mins = G.np_op[:, members].min(axis=1)
     is_rep = mins == np.arange(G.n)
     reps = np.flatnonzero(is_rep)
     cmap = (np.cumsum(is_rep) - 1)[mins]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .braces import (
     series,
     validate_skew_brace,
 )
-from .errors import NotASubBrace, require
+from .errors import NotASubBrace, check_indices, require
 from .groups import Bijection, ElementSet
 
 
@@ -41,8 +41,9 @@ def gamma2(B: SkewBrace) -> ElementSet:
     return terms[1] if len(terms) > 1 else terms[0]
 
 
-def induced_brace(B: SkewBrace, members: ElementSet) -> SkewBrace:
+def induced_brace(B: SkewBrace, members: Iterable[int]) -> SkewBrace:
     """Sub-brace on members with elements relabelled by rank (0 stays 0)."""
+    members = check_indices(B.n, *members)
     return validate_skew_brace(*induced_tables(B, members, classify_subset(B, members)))
 
 
@@ -53,7 +54,7 @@ def induced_tables(
     relabelled by rank and not yet validated; kind is
     classify_subset(B, members), and NotASubBrace is raised unless it says
     sub-brace."""
-    members = sorted(members)
+    members = sorted(set(check_indices(B.n, *members)))
     if not kind.is_sub_brace:
         raise NotASubBrace(f"{members} is not a sub-brace")
     rank = np.zeros(B.n, dtype=np.int64)

@@ -30,7 +30,7 @@ class CentralizerSuite:
 def centralizer_suite(B: SkewBrace, x: int) -> CentralizerSuite:
     """Cb, Cb^l, Cb^r, Fix^l, Fix^r of x: row x of the brace's centralizer
     masks, which are computed and cross-checked once per brace."""
-    check_indices(B.n, x)
+    (x,) = check_indices(B.n, x)
     c = B.centralizers
 
     def row(mask) -> ElementSet:

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ def _first_distributivity_failure_reference(add, mul):
         for b in range(add.n):
             for c in range(add.n):
                 left = mul.op[a][add.op[b][c]]
-                right = add.op[add.op[mul.op[a][b]][add.inv[a]]][mul.op[a][c]]
+                right = add.op[add.op[mul.op[a][b]][add.np_inv[a]]][mul.op[a][c]]
                 if left != right:
                     return (a, b, c)
     return None
@@ -126,9 +127,9 @@ def test_opposite_brace_of_quaternions():
     add = B.add
     for a in range(8):
         for b in range(8):
-            na = add.inv[a]
+            na = add.np_inv[a]
             # [-a,b]+ = -a + b + a - b
-            expect = add.op[add.op[add.op[na][b]][a]][add.inv[b]]
+            expect = add.op[add.op[add.op[na][b]][a]][add.np_inv[b]]
             assert star(B, a, b) == expect
 
 
@@ -189,14 +190,14 @@ def test_commutators_match_the_scalar_formula():
     for a in range(B.n):
         for b in range(B.n):
             for G, value in ((B.add, gamma_plus(B, a, b)), (B.mul, gamma_circ(B, a, b))):
-                assert value == G.op[G.op[G.op[a][b]][G.inv[a]]][G.inv[b]]
+                assert value == G.op[G.op[G.op[a][b]][G.np_inv[a]]][G.np_inv[b]]
 
 
 def test_commutator_tables_are_the_group_tables_and_match_the_scalar_formula():
     for B in (e.brace for n in range(1, 9) for e in skew_braces_of_order(n).entries):
         for G, table in ((B.add, B.gamma_plus_table), (B.mul, B.gamma_circ_table)):
             assert table is G.commutator_table
-            scalar = [[G.op[G.op[G.op[a][b]][G.inv[a]]][G.inv[b]] for b in range(B.n)] for a in range(B.n)]
+            scalar = [[G.op[G.op[G.op[a][b]][G.np_inv[a]]][G.np_inv[b]] for b in range(B.n)] for a in range(B.n)]
             assert table.tobytes() == np.array(scalar, dtype=np.int64).tobytes()
 
 
@@ -253,20 +254,38 @@ def test_element_arguments_are_range_checked():
                 call(x)
 
 
+def test_element_arguments_take_numpy_ints_and_bools():
+    B = cyclic_brace(4, 2)
+    calls = [
+        lambda x: star(B, x, 3),
+        lambda x: star(B, 3, x),
+        lambda x: gamma_plus(B, x, 3),
+        lambda x: gamma_circ(B, 3, x),
+        lambda x: centralizer(B.add, x),
+        lambda x: astuple(centralizer_suite(B, x)),
+    ]
+    for call in calls:
+        for x in (True, np.uint8(1)):
+            got = call(x)
+            assert got == call(1) and _int_types(got) <= {int}, x
+
+
 B4 = cyclic_brace(4, 2)
+# {0, 1} and {0, 2} are ideals of V4, so every routine returns a value for both, not an error
+V4 = trivial_brace(klein_four_group())
 SUBSET_ROUTINES = {
-    "is_subgroup": lambda S: is_subgroup(B4.add, S),
-    "is_conjugation_closed": lambda S: is_conjugation_closed(B4.mul, S),
-    "is_normal": lambda S: is_normal(B4.add, S),
-    "subgroup_closure": lambda S: subgroup_closure(B4.add, S),
-    "quotient_table": lambda S: quotient_table(B4.add, S),
-    "quotient_group": lambda S: quotient_group(B4.add, S),
-    "classify_subset": lambda S: classify_subset(B4, S),
-    "sub_brace_closure": lambda S: sub_brace_closure(B4, S),
-    "ideal_closure": lambda S: ideal_closure(B4, S),
-    "quotient_tables": lambda S: quotient_tables(B4, S),
-    "quotient_brace": lambda S: quotient_brace(B4, S),
-    "induced_brace": lambda S: induced_brace(B4, S),
+    "is_subgroup": lambda B, S: is_subgroup(B.add, S),
+    "is_conjugation_closed": lambda B, S: is_conjugation_closed(B.mul, S),
+    "is_normal": lambda B, S: is_normal(B.add, S),
+    "subgroup_closure": lambda B, S: subgroup_closure(B.add, S),
+    "quotient_table": lambda B, S: quotient_table(B.add, S),
+    "quotient_group": lambda B, S: quotient_group(B.add, S),
+    "classify_subset": classify_subset,
+    "sub_brace_closure": sub_brace_closure,
+    "ideal_closure": ideal_closure,
+    "quotient_tables": quotient_tables,
+    "quotient_brace": quotient_brace,
+    "induced_brace": induced_brace,
 }
 
 
@@ -275,7 +294,7 @@ SUBSET_ROUTINES = {
 def test_subset_routines_reject_non_integer_members(routine, bad):
     # 1.0 and 2.5 lie in range: only the integer check rejects them
     with pytest.raises(IndexOutOfRange, match="out of range for order 4") as exc:
-        routine([0, bad])
+        routine(B4, [0, bad])
     assert exc.value.index is bad
 
 
@@ -286,19 +305,37 @@ def _plain(x):
     return tuple(map(_plain, x)) if isinstance(x, tuple) else x
 
 
-def _outcome(routine, members):
+def _int_types(x):
+    """The types of the ints inside the tuples of x, nested ones too: ==
+    cannot tell True or np.int64(1) from 1."""
+    if not isinstance(x, tuple):
+        return set()
+    return {type(v) for v in x if isinstance(v, (int, np.integer))}.union(*map(_int_types, x))
+
+
+def _outcome(routine, B, members):
     """The result, or the type of the error raised (its message may quote
     the members)."""
     try:
-        return _plain(routine(members))
+        return _plain(routine(B, members))
     except Exception as exc:
         return type(exc)
 
 
 @pytest.mark.parametrize("routine", SUBSET_ROUTINES.values(), ids=SUBSET_ROUTINES)
 def test_subset_routines_take_numpy_ints_and_bools(routine):
-    assert _outcome(routine, [np.int64(0), np.uint8(2)]) == _outcome(routine, [0, 2])
-    assert _outcome(routine, [False, True]) == _outcome(routine, [0, 1])
+    cases = [
+        ([np.int64(0), np.uint8(2)], [0, 2]),
+        ([False, True], [0, 1]),
+        ([np.uint8(0), np.int64(1)], [0, 1]),
+        ([0, 1, 1], [0, 1]),
+        ([0, 2, 2], [0, 2]),
+    ]
+    for B in (B4, V4):
+        for members, ints in cases:
+            got = _outcome(routine, B, members)
+            assert got == _outcome(routine, B, ints) and _int_types(got) <= {int}, members
+        assert _outcome(routine, B, iter([0, 2])) == _outcome(routine, B, [0, 2])
 
 
 def test_nilpotency_of_trivial_nonnilpotent_group():

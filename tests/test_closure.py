@@ -53,7 +53,7 @@ def _subgroup_closure_reference(G, S):
             work.append(s)
     while work:
         x = work.pop()
-        for new in (G.inv[x],) + tuple(G.op[x][y] for y in tuple(members)) + tuple(
+        for new in (G.np_inv[x],) + tuple(G.op[x][y] for y in tuple(members)) + tuple(
             G.op[y][x] for y in tuple(members)
         ):
             if new not in members:
@@ -79,8 +79,8 @@ def _rule_list_closure_reference(B, S, rules):
 
 def _both_groups(B, snapshot):
     for a in snapshot:
-        yield B.add.inv[a]
-        yield B.mul.inv[a]
+        yield B.add.np_inv[a]
+        yield B.mul.np_inv[a]
         for b in snapshot:
             yield B.add.op[a][b]
             yield B.mul.op[a][b]
@@ -95,8 +95,8 @@ def _lam_images(B, snapshot):
 def _conjugates(B, snapshot):
     for g in range(B.n):
         for x in snapshot:
-            yield B.add.op[B.add.op[g][x]][B.add.inv[g]]
-            yield B.mul.op[B.mul.op[g][x]][B.mul.inv[g]]
+            yield B.add.op[B.add.op[g][x]][B.add.np_inv[g]]
+            yield B.mul.op[B.mul.op[g][x]][B.mul.np_inv[g]]
 
 
 def _numpy_closure(op, S):

@@ -1,7 +1,8 @@
 """Package layout: modules share helpers through public names only, no
-check in the package is an assert, which python -O strips, no new
-process-wide dict or lru_cache holds state between calls, the command
-line never loads numpy.ma, and one function builds every GroupTable."""
+check in the package is an assert, which python -O strips, every
+element-index check hands on the ints it read, no new process-wide dict
+or lru_cache holds state between calls, the command line never loads
+numpy.ma, and one function builds every GroupTable."""
 
 import ast
 import os
@@ -58,6 +59,21 @@ def test_require_messages_are_string_literals():
         or len(node.args) != 2
         or not (isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str))
     ]
+    assert calls and not found, found
+
+
+def test_check_indices_results_are_used():
+    """errors.check_indices returns the ints it checked; a caller that drops
+    them goes on to read the raw arguments, which numpy reads differently
+    (a list of bools is a mask)."""
+    calls, found = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and _name(node) == "check_indices":
+                calls += 1
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+                if _name(node.value) == "check_indices":
+                    found.append(f"{path.name}:{node.lineno}")
     assert calls and not found, found
 
 

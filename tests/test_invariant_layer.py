@@ -58,15 +58,15 @@ CYCLIC = [
 
 
 def _lam(B, a, b):
-    return B.add.op[B.add.inv[a]][B.mul.op[a][b]]
+    return B.add.op[B.add.np_inv[a]][B.mul.op[a][b]]
 
 
 def _star(B, a, b):
-    return B.add.op[_lam(B, a, b)][B.add.inv[b]]
+    return B.add.op[_lam(B, a, b)][B.add.np_inv[b]]
 
 
 def _commutator(G, a, b):
-    return G.op[G.op[G.op[a][b]][G.inv[a]]][G.inv[b]]
+    return G.op[G.op[G.op[a][b]][G.np_inv[a]]][G.np_inv[b]]
 
 
 def _centralizer_suite_reference(B, x):

@@ -150,12 +150,12 @@ def test_induced_brace_rejects_a_subset_that_is_not_a_sub_brace():
 
 
 def _commutator(G, a, b):
-    return G.op[G.op[G.op[a][b]][G.inv[a]]][G.inv[b]]
+    return G.op[G.op[G.op[a][b]][G.np_inv[a]]][G.np_inv[b]]
 
 
 def _star(B, a, b):
-    lam = B.add.op[B.add.inv[a]][B.mul.op[a][b]]
-    return B.add.op[lam][B.add.inv[b]]
+    lam = B.add.op[B.add.np_inv[a]][B.mul.op[a][b]]
+    return B.add.op[lam][B.add.np_inv[b]]
 
 
 def test_isoclinism_data_matches_scalar_reference():

@@ -58,11 +58,11 @@ def test_pair_count_against_raw_tables():
             count = 0
             for a in range(n):
                 for b in range(n):
-                    lam_ab = add.op[add.inv[a]][mul.op[a][b]]
-                    lam_ba = add.op[add.inv[b]][mul.op[b][a]]
-                    star_ab = add.op[lam_ab][add.inv[b]]
-                    star_ba = add.op[lam_ba][add.inv[a]]
-                    comm = add.op[add.op[add.op[a][b]][add.inv[a]]][add.inv[b]]
+                    lam_ab = add.op[add.np_inv[a]][mul.op[a][b]]
+                    lam_ba = add.op[add.np_inv[b]][mul.op[b][a]]
+                    star_ab = add.op[lam_ab][add.np_inv[b]]
+                    star_ba = add.op[lam_ba][add.np_inv[a]]
+                    comm = add.op[add.op[add.op[a][b]][add.np_inv[a]]][add.np_inv[b]]
                     if star_ab == 0 and star_ba == 0 and comm == 0:
                         count += 1
             assert commuting_probability(B) == Fraction(count, n * n)
