@@ -25,13 +25,13 @@ from .groups import (
     GroupTable,
     automorphism_group,
     canonical_form,
+    closed_under_maps,
     closure,
+    coset_table,
     direct_product_group,
-    is_conjugation_closed,
-    is_subgroup,
     isomorphisms,
+    members_form_subgroup,
     prime_divisors,
-    quotient_table,
     relabel,
     subgroup_closure,
     trusted_group,
@@ -86,7 +86,7 @@ class SkewBrace:
         soc = ker & (add == add.T).all(1)
         ann = soc & (mul == mul.T).all(1)
         ker, soc, ann = (tuple(np.flatnonzero(m).tolist()) for m in (ker, soc, ann))
-        require(classify_subset(self, ann).is_ideal, "Ann(B) is not an ideal")
+        require(_classify(self, set(ann)).is_ideal, "Ann(B) is not an ideal")
         return ker, soc, ann
 
     @cached_property
@@ -130,15 +130,22 @@ def _centralizers(B: SkewBrace) -> Centralizers:
     cb_right = fix_right & (add == add.T)
     cb = (S == 0) & (B.gamma_circ_table == 0) & (B.gamma_plus_table == 0)
     require((cb == (cb_left & cb_right)).all(), "Cb(x) != Cb^l(x) & Cb^r(x)")
-    # cb[x, a o b] wherever a and b both lie in Cb(x)
-    closed = (cb[:, mul] | ~(cb[:, :, None] & cb[:, None, :])).all()
-    require(bool(cb[:, 0].all() and closed), "Cb(x) is not a subgroup of (B, o)")
+    require(_rows_are_subgroups(cb, mul), "Cb(x) is not a subgroup of (B, o)")
     pairs = int(np.count_nonzero((S == 0) & (S.T == 0) & (add == add.T)))
     require(pairs == np.count_nonzero(cb), "pair count and centralizer sum disagree")
     masks = (cb, cb_left, cb_right, fix_left, fix_right)
     for m in masks:
         m.flags.writeable = False
     return Centralizers(*masks, pb=Fraction(pairs, B.n * B.n))
+
+
+def _rows_are_subgroups(mask: np.ndarray, op: np.ndarray) -> bool:
+    """Whether each row of the boolean mask holds 0 and is closed under the
+    table op.  Full rows (for Cb, the x in Ann(B)) are; of the others, each
+    distinct row is tested once."""
+    distinct = b"".join(dict.fromkeys(map(bytes, mask[~mask.all(axis=1)])))
+    rows = np.frombuffer(distinct, dtype=bool).reshape(-1, len(op))
+    return bool(mask[:, 0].all() and (rows[:, op] | ~(rows[:, :, None] & rows[:, None, :])).all())
 
 
 def distributivity_failures(
@@ -330,14 +337,16 @@ class SubsetClass:
 
 
 def classify_subset(B: SkewBrace, S: Iterable[int]) -> SubsetClass:
-    members = set(check_indices(B.n, *S))
-    sub = is_subgroup(B.add, members) and is_subgroup(B.mul, members)
-    left_ideal = sub and members.issuperset(B.lambdas[:, list(members)].ravel().tolist())
-    ideal = (
-        left_ideal
-        and is_conjugation_closed(B.add, members)
-        and is_conjugation_closed(B.mul, members)
-    )
+    return _classify(B, set(check_indices(B.n, *S)))
+
+
+def _classify(B: SkewBrace, members: set[int]) -> SubsetClass:
+    """classify_subset of checked element ints.  The a with lam_a(S) inside
+    S contain 0 and are closed under o, as a -> lam_a is a homomorphism, so
+    a runs over the generators of (B, o) alone."""
+    sub = members_form_subgroup(B.add, members) and members_form_subgroup(B.mul, members)
+    left_ideal = sub and closed_under_maps(members, B.lambdas[list(B.mul.generators)].tolist())
+    ideal = left_ideal and closed_under_maps(members, B.add.conjugations + B.mul.conjugations)
     return SubsetClass(sub, left_ideal, ideal)
 
 
@@ -348,8 +357,10 @@ def sub_brace_closure(B: SkewBrace, S: Iterable[int]) -> ElementSet:
 
 def ideal_closure(B: SkewBrace, S: Iterable[int]) -> ElementSet:
     """Smallest ideal containing S: a sub-skew brace closed under every lam_a
-    and under conjugation in both groups."""
-    actions = (B.lambdas.T.tolist(), B.add.conjugates, B.mul.conjugates)
+    and under conjugation in both groups.  As in classify_subset, a and the
+    conjugating elements run over the generators alone."""
+    lams = B.lambdas[list(B.mul.generators)].tolist()
+    actions = (*lams, *B.add.conjugations, *B.mul.conjugations)
     return closure((B.add.op, B.mul.op), S, actions=actions)
 
 
@@ -366,11 +377,11 @@ def quotient_tables(B: SkewBrace, I: Iterable[int]) -> tuple[np.ndarray, np.ndar
     """The additive and multiplicative tables of B/I, not yet validated, and
     the coset map; raises NotAnIdeal unless I is an ideal, and checks that
     the two groups have the same cosets."""
-    members = sorted(set(check_indices(B.n, *I)))
-    if not classify_subset(B, members).is_ideal:
-        raise NotAnIdeal(f"{members} is not an ideal")
-    add_q, cmap = quotient_table(B.add, members)
-    mul_q, mul_cmap = quotient_table(B.mul, members)
+    members = set(check_indices(B.n, *I))
+    if not _classify(B, members).is_ideal:
+        raise NotAnIdeal(f"{sorted(members)} is not an ideal")
+    add_q, cmap = coset_table(B.add, members)
+    mul_q, mul_cmap = coset_table(B.mul, members)
     require(cmap == mul_cmap, "additive and multiplicative cosets differ")
     return add_q, mul_q, cmap
 
@@ -499,7 +510,7 @@ def sub_braces(B: SkewBrace) -> list[ElementSet]:
     """All sub-skew braces, sorted by (order, members): the subgroups of
     (B, +) that are closed under o, from the subgroup lattice kept on the
     additive table."""
-    return [H for H in B.add.subgroups if is_subgroup(B.mul, H)]
+    return [H for H in B.add.subgroups if members_form_subgroup(B.mul, set(H))]
 
 
 def ideals(B: SkewBrace) -> list[ElementSet]:

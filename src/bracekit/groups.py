@@ -55,10 +55,10 @@ class GroupTable:
         return arr
 
     @cached_property
-    def conjugates(self) -> tuple[tuple[int, ...], ...]:
-        """Row x lists g x g^-1 for g = 0..n-1."""
-        op = self.np_op
-        return tuple(map(tuple, op[op.T, self.np_inv[None, :]].tolist()))
+    def conjugations(self) -> tuple[tuple[int, ...], ...]:
+        """Row k is the map x -> g x g^-1 for g the k-th generator."""
+        op, gens = self.np_op, list(self.generators)
+        return tuple(map(tuple, op[op[gens], self.np_inv[gens, None]].tolist()))
 
     @cached_property
     def generators(self) -> ElementSet:
@@ -247,10 +247,10 @@ def closure(
     A table is a square table with identity 0, not necessarily a group;
     closure under it adds the products of members in both orders.  In a
     finite group that is the generated subgroup, since inverses are positive
-    powers.  An action lists in row x the elements that must join whenever
-    x does, e.g. its conjugates.  Worklist fixpoint: each new member is
-    combined once with every member present when it is taken up, and later
-    members are combined with it in turn.
+    powers.  An action is a map, as a row: the image of x must join
+    whenever x does, e.g. a conjugation.  Worklist fixpoint: each new
+    member is combined once with every member present when it is taken up,
+    and later members are combined with it in turn.
     """
     n = len((tables or actions)[0])
     members = {0}
@@ -260,7 +260,7 @@ def closure(
             members.add(s)
             work.append(s)
     for x in work:
-        images = [z for act in actions for z in act[x]]
+        images = [act[x] for act in actions]
         for t in tables:
             row = t[x]
             images += [row[y] for y in members]
@@ -280,32 +280,67 @@ def subgroup_closure(G: GroupTable, S: Iterable[int]) -> ElementSet:
 def is_subgroup(G: GroupTable, H: Iterable[int]) -> bool:
     """Whether H contains 0 and is closed under products (so, being finite,
     under inverses too)."""
-    members = set(check_indices(G.n, *H))
-    return 0 in members and all(
-        members.issuperset(map(G.op[a].__getitem__, members)) for a in members
-    )
+    return members_form_subgroup(G, set(check_indices(G.n, *H)))
+
+
+def members_form_subgroup(G: GroupTable, members: set[int]) -> bool:
+    """is_subgroup of checked ints, by a greedy walk inside them: a member
+    not yet reached from 0 becomes a generator, each reached member is
+    multiplied once by each generator, and the first product outside fails.
+    Else H is what the walk reached, the subgroup its generators generate,
+    after |H| |gens| products."""
+    if 0 not in members:
+        return False
+    op, reached, gens, seen = G.op, [0], [], {0}
+    for g in members:
+        if g in seen:
+            continue
+        gens.append(g)
+        known = len(reached)
+        for i, x in enumerate(reached):  # reached grows while it is walked
+            row = op[x]
+            for h in gens if i >= known else gens[-1:]:
+                y = row[h]
+                if y not in seen:
+                    if y not in members:
+                        return False
+                    seen.add(y)
+                    reached.append(y)
+    return True
 
 
 def is_conjugation_closed(G: GroupTable, H: Iterable[int]) -> bool:
-    """Whether g h g^-1 lies in H for every g in G and h in H."""
-    members = set(check_indices(G.n, *H))
-    return all(members.issuperset(G.conjugates[h]) for h in members)
+    """Whether g h g^-1 lies in H for every g in G and h in H.  The g with
+    g H g^-1 inside H contain 0 and are closed under products, so they form
+    a subgroup, and g runs over the generators alone."""
+    return closed_under_maps(set(check_indices(G.n, *H)), G.conjugations)
+
+
+def closed_under_maps(members: set[int], maps: Iterable[Sequence[int]]) -> bool:
+    """Whether each map, given as a row, sends the checked ints members into
+    members."""
+    return all(members.issuperset(map(row.__getitem__, members)) for row in maps)
 
 
 def is_normal(G: GroupTable, H: Iterable[int]) -> bool:
-    members = check_indices(G.n, *H)
-    return is_subgroup(G, members) and is_conjugation_closed(G, members)
+    members = set(check_indices(G.n, *H))
+    return members_form_subgroup(G, members) and closed_under_maps(members, G.conjugations)
 
 
 def conjugacy_class_sizes(G: GroupTable) -> tuple[int, ...]:
-    seen: set[int] = set()
-    sizes = []
+    """The class sizes, sorted: the orbits of the conjugations by the
+    generators, which generate every conjugation."""
+    seen, sizes = [False] * G.n, []
     for x in range(G.n):
-        if x in seen:
-            continue
-        cls = set(G.conjugates[x])
-        seen |= cls
-        sizes.append(len(cls))
+        if not seen[x]:
+            seen[x] = True
+            orbit = [x]
+            for y in orbit:  # orbit grows while it is walked
+                for row in G.conjugations:
+                    if not seen[row[y]]:
+                        seen[row[y]] = True
+                        orbit.append(row[y])
+            sizes.append(len(orbit))
     return tuple(sorted(sizes))
 
 
@@ -317,16 +352,18 @@ def quotient_group(G: GroupTable, H: Iterable[int]) -> tuple[GroupTable, tuple[i
 
 def quotient_table(G: GroupTable, H: Iterable[int]) -> tuple[np.ndarray, tuple[int, ...]]:
     """The Cayley table of G/H, not yet validated, and the coset map;
-    raises NotNormal unless H is a normal subgroup.
+    raises NotNormal unless H is a normal subgroup."""
+    members = set(check_indices(G.n, *H))
+    if not (members_form_subgroup(G, members) and closed_under_maps(members, G.conjugations)):
+        raise NotNormal(f"subgroup {sorted(members)} is not normal")
+    return coset_table(G, members)
 
-    Cosets are labelled by rank of their minimal representative, so the coset
-    of 0 becomes the identity.
-    """
-    members = sorted(set(check_indices(G.n, *H)))
-    if not is_normal(G, members):
-        raise NotNormal(f"subgroup {members} is not normal")
+
+def coset_table(G: GroupTable, members: Iterable[int]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """quotient_table of the checked ints of a normal subgroup, unchecked.
+    Cosets are labelled by rank of their least member, 0 for the identity."""
     # row x of np_op[:, H] is the coset xH, and x represents it if x is its least element
-    mins = G.np_op[:, members].min(axis=1)
+    mins = G.np_op[:, list(members)].min(axis=1)
     is_rep = mins == np.arange(G.n)
     reps = np.flatnonzero(is_rep)
     cmap = (np.cumsum(is_rep) - 1)[mins]

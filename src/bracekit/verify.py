@@ -55,9 +55,7 @@ class TheoremVerdict:
             "theorem_id": self.theorem_id,
             "scope": self.scope,
             "checked": self.checked,
-            "violations": [
-                {"id": list(i), "details": d} for i, d in self.violations
-            ],
+            "violations": [{"id": list(i), "details": d} for i, d in self.violations],
             "notes": list(self.notes),
             "status": self.status,
         }
@@ -68,13 +66,7 @@ def _frac(x: Fraction) -> str:
 
 
 def _verdict(theorem_id, scope, checked, violations, notes=()):
-    return TheoremVerdict(
-        theorem_id=theorem_id,
-        scope=scope,
-        checked=checked,
-        violations=tuple(violations),
-        notes=tuple(notes),
-    )
+    return TheoremVerdict(theorem_id, scope, checked, tuple(violations), tuple(notes))
 
 
 def check_gap(entries: CatalogEntries, scope: str) -> TheoremVerdict:
@@ -251,13 +243,8 @@ def check_65_128(entries: CatalogEntries, scope: str) -> TheoremVerdict:
         checked += 1
         if nilpotency_class(B) is None:
             violations.append((cid, "Pb > 65/128 but not nilpotent"))
-    return _verdict(
-        "nilpotent-65/128",
-        scope,
-        checked,
-        violations,
-        notes=("scope-limited: catalog orders only, not the full proof range",),
-    )
+    notes = ("scope-limited: catalog orders only, not the full proof range",)
+    return _verdict("nilpotent-65/128", scope, checked, violations, notes)
 
 
 def check_isoclinism_invariance(entries: CatalogEntries, scope: str) -> TheoremVerdict:
@@ -273,12 +260,8 @@ def check_isoclinism_invariance(entries: CatalogEntries, scope: str) -> TheoremV
         checked += 1
         pbs = {commuting_probability(braces[i]) for i in cls}
         if len(pbs) > 1:
-            violations.append(
-                (entries[cls[0]][0], "isoclinic braces with distinct Pb")
-            )
-        meets = [
-            len(set(gamma2(braces[i])) & set(annihilator(braces[i]))) for i in cls
-        ]
+            violations.append((entries[cls[0]][0], "isoclinic braces with distinct Pb"))
+        meets = [len(set(gamma2(braces[i])) & set(annihilator(braces[i]))) for i in cls]
         if len(set(meets)) > 1:
             violations.append(
                 (entries[cls[0]][0], "isoclinic braces with distinct |Gamma_2 n Ann|")
